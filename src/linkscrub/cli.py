@@ -66,7 +66,12 @@ def _load_traces(paths):
 
 
 def _graphs(traces, min_len):
-    return [build_full_graph(t, min_len=min_len) for t in traces]
+    """Full page graph of each trace, reporting its warnings on stderr."""
+    for t in traces:
+        g = build_full_graph(t, min_len=min_len)
+        for w in g.warnings:
+            click.echo(f"warning: {w}", err=True)
+        yield g
 
 
 @main.command()
@@ -107,8 +112,7 @@ def graph(obj, trace, output, no_flows):
 
 
 def _matrix_rows(traces, min_len):
-    for t in traces:
-        g = build_full_graph(t, min_len=min_len)
+    for t, g in zip(traces, _graphs(traces, min_len)):
         for node_id, fv in features.features_for_graph(g):
             node = g.nodes[node_id]
             dec_id = node.attrs["decoration"].id
@@ -220,6 +224,16 @@ def cv(obj, matrix, labels_fh, folds, trees, seed):
     click.echo(report.to_text(), nl=False)
 
 
+def _load_model(obj, fh):
+    """Load a model, refusing one trained for another feature version."""
+    fmodel = forest.load_forest(fh)
+    if fmodel.feature_version != obj["format_version"]:
+        raise InputError(
+            f"model feature version {fmodel.feature_version} does not match "
+            f"expected {obj['format_version']}")
+    return fmodel
+
+
 @main.command()
 @click.option("--model", type=click.File("r"), required=True)
 @click.option("--matrix", type=click.File("r"), required=True)
@@ -229,11 +243,7 @@ def cv(obj, matrix, labels_fh, folds, trees, seed):
 @click.pass_obj
 def predict(obj, model, matrix, explain, output):
     """Score every matrix row with a trained model."""
-    fmodel = forest.load_forest(model)
-    if fmodel.feature_version != obj["format_version"]:
-        raise InputError(
-            f"model feature version {fmodel.feature_version} does not match "
-            f"expected {obj['format_version']}")
+    fmodel = _load_model(obj, model)
     meta, X = features.read_feature_matrix(matrix)
     scores = forest.predict_scores(fmodel, X) if len(meta) else []
     output.write("site,fqdn,key,kind,score,label\n")
@@ -264,7 +274,7 @@ def _predictions_from(meta, scores):
 @click.pass_obj
 def emit_list(obj, model, matrix, action, output):
     """Emit a native filter list from model predictions over a matrix."""
-    fmodel = forest.load_forest(model)
+    fmodel = _load_model(obj, model)
     meta, X = features.read_feature_matrix(matrix)
     scores = forest.predict_scores(fmodel, X) if len(meta) else []
     rules = filters.emit_filter_list(

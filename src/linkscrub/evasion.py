@@ -14,7 +14,8 @@ from dataclasses import replace
 from typing import Callable, Optional
 
 from .trace import Trace, TraceEvent
-from .urls import DecoratedUrl, decompose, random_token, reassemble
+from .urls import (FRAGMENT_KIND, PATH_KIND, DecoratedUrl, RawDecoration,
+                   decompose, random_token, raw_decorations, with_decorations)
 
 _URL_FIELDS = {"request": "url", "element_request": "url",
                "redirect": "to_url", "script_load": None, "eval_script": None}
@@ -36,20 +37,6 @@ def _map_urls(trace: Trace,
     return replace(trace, events=tuple(events))
 
 
-def _rebuild(d: DecoratedUrl, raw_dirs=None, raw_query=None,
-             raw_fragment: object = "unchanged") -> str:
-    out = replace(
-        d,
-        raw_dir_segments=tuple(raw_dirs) if raw_dirs is not None
-        else d.raw_dir_segments,
-        raw_query_tokens=tuple(raw_query) if raw_query is not None
-        else d.raw_query_tokens,
-        raw_fragment=d.raw_fragment if raw_fragment == "unchanged"
-        else raw_fragment,
-    )
-    return reassemble(out)
-
-
 def evade_rename(traces, seed: int = 0) -> list[Trace]:
     """Replace query/fragment keys with random tokens and permute the order
     of path directory levels; decoration values are untouched."""
@@ -60,24 +47,14 @@ def evade_rename(traces, seed: int = 0) -> list[Trace]:
             d = decompose(url)
         except Exception:
             return url
-        dirs = list(d.raw_dir_segments)
+        decs = raw_decorations(d)
+        depth = len(d.path_segments)
+        dirs = decs[:depth]
         rng.shuffle(dirs)
-        query = []
-        for token in d.raw_query_tokens:
-            if "=" in token:
-                key, value = token.split("=", 1)
-                query.append(f"{random_token(rng, max(1, len(key)))}={value}")
-            else:
-                query.append(token)
-        fragment = d.raw_fragment
-        if d.fragment_is_kv:
-            parts = []
-            for token in d.raw_fragment.split("&"):
-                key, value = token.split("=", 1)
-                parts.append(f"{random_token(rng, max(1, len(key)))}={value}")
-            fragment = "&".join(parts)
-        return _rebuild(d, raw_dirs=dirs, raw_query=query,
-                        raw_fragment=fragment)
+        return with_decorations(d, dirs + [
+            dec if dec.bare
+            else replace(dec, key=random_token(rng, max(1, len(dec.key))))
+            for dec in decs[depth:]])
 
     return [_map_urls(t, transform) for t in traces]
 
@@ -95,35 +72,18 @@ def evade_split(traces) -> list[Trace]:
             d = decompose(url)
         except Exception:
             return url
-        dirs = []
-        for seg in d.raw_dir_segments:
-            dirs.extend(_chunks(seg) if len(seg) > SPLIT_CHUNK else [seg])
-        query = []
-        for token in d.raw_query_tokens:
-            if "=" in token:
-                key, value = token.split("=", 1)
-                if len(value) > SPLIT_CHUNK:
-                    query.extend(f"{key}_{i}={chunk}"
-                                 for i, chunk in enumerate(_chunks(value)))
-                    continue
-            query.append(token)
-        fragment = d.raw_fragment
-        if d.fragment_is_kv:
-            parts = []
-            for token in d.raw_fragment.split("&"):
-                key, value = token.split("=", 1)
-                if len(value) > SPLIT_CHUNK:
-                    parts.extend(f"{key}_{i}={chunk}"
-                                 for i, chunk in enumerate(_chunks(value)))
-                else:
-                    parts.append(token)
-            fragment = "&".join(parts)
-        elif fragment and len(fragment) > SPLIT_CHUNK:
-            fragment = "&".join(
-                f"fragment_{i}={chunk}"
-                for i, chunk in enumerate(_chunks(fragment)))
-        return _rebuild(d, raw_dirs=dirs, raw_query=query,
-                        raw_fragment=fragment)
+        out = []
+        for dec in raw_decorations(d):
+            if len(dec.value) <= SPLIT_CHUNK:
+                out.append(dec)
+            elif dec.kind == PATH_KIND:
+                out.extend(replace(dec, value=chunk)
+                           for chunk in _chunks(dec.value))
+            else:
+                out.extend(RawDecoration(dec.kind, f"{dec.key}_{i}", chunk,
+                                         False)
+                           for i, chunk in enumerate(_chunks(dec.value)))
+        return with_decorations(d, out)
 
     return [_map_urls(t, transform) for t in traces]
 
@@ -131,16 +91,9 @@ def evade_split(traces) -> list[Trace]:
 def combine_decorations(d: DecoratedUrl) -> Optional[str]:
     """SHA-256 hex of the canonical concatenation of a URL's decorations,
     or None when the URL carries no decorations."""
-    pairs = []
-    for i, seg in enumerate(d.raw_dir_segments):
-        pairs.append(f"path|{i}={seg}")
-    for token in d.raw_query_tokens:
-        pairs.append(token if "=" in token else f"{token}=")
-    if d.raw_fragment is not None:
-        if d.fragment_is_kv:
-            pairs.extend(d.raw_fragment.split("&"))
-        elif d.raw_fragment:
-            pairs.append(f"fragment={d.raw_fragment}")
+    # an empty singular fragment ("#") carries nothing to combine
+    pairs = [f"{dec.key}={dec.value}" for dec in raw_decorations(d)
+             if dec.value or not (dec.bare and dec.kind == FRAGMENT_KIND)]
     if not pairs:
         return None
     return hashlib.sha256("&".join(pairs).encode("utf-8")).hexdigest()
@@ -158,14 +111,8 @@ def evade_combine(traces) -> list[Trace]:
         digest = combine_decorations(d)
         if digest is None:
             return url
-        out = replace(
-            d,
-            raw_dir_segments=(digest,),
-            raw_query_tokens=(),
-            raw_fragment=None,
-            had_path=True,
-            had_query=False,
-        )
-        return reassemble(out)
+        # unlike sanitize, a "?" without tokens goes too
+        return with_decorations(replace(d, had_query=False), [
+            RawDecoration(PATH_KIND, "path|0", digest, True)])
 
     return [_map_urls(t, transform) for t in traces]

@@ -218,8 +218,9 @@ class _GraphIndex:
 
     def __init__(self, g: PageGraph):
         self.g = g
-        self.interaction = ViewMetrics(*g.interaction_view())
-        self.flow = ViewMetrics(*g.flow_view())
+        self.interaction = ViewMetrics(g.nodes.values(), g.edges)
+        flow_nodes, flow_edges = g.flow_view()
+        self.flow = ViewMetrics(flow_nodes, flow_edges)
         self.ancestry_rev: dict[str, list[str]] = {}
         self.flow_rev: dict[str, list[str]] = {}
         self.initiates_out: dict[str, list[str]] = {}
@@ -266,7 +267,6 @@ class _GraphIndex:
             self.children_by_request.setdefault(
                 dec.attrs["request"], []).append(dec)
         # flow-view reverse adjacency includes the view's interaction edges
-        _, flow_edges = g.flow_view()
         self.flow_view_rev: dict[str, list[str]] = {}
         for e in flow_edges:
             self.flow_view_rev.setdefault(e.dst, []).append(e.src)

@@ -101,17 +101,8 @@ class PageGraph:
         return [n for n in self.nodes_of_kind(NETWORK)
                 if n.attrs.get("direction") == "request"]
 
-    def out_edges(self, node_id: str) -> list[Edge]:
-        return [e for e in self.edges if e.src == node_id]
-
-    def in_edges(self, node_id: str) -> list[Edge]:
-        return [e for e in self.edges if e.dst == node_id]
-
     def flow_edges(self) -> list[Edge]:
         return [e for e in self.edges if e.kind in (EXFILTRATION, INFILTRATION)]
-
-    def interaction_view(self) -> tuple[list[Node], list[Edge]]:
-        return list(self.nodes.values()), list(self.edges)
 
     def flow_view(self) -> tuple[list[Node], list[Edge]]:
         """Flow edges plus the interaction edges incident to their endpoints."""
@@ -235,30 +226,16 @@ def attach_decoration_nodes(g: PageGraph) -> PageGraph:
         except UrlParseError as exc:
             g.warnings.append(f"unparseable request URL {url!r}: {exc}")
             continue
-        raw_values = _raw_decoration_values(d)
-        for dec, raw_value in zip(urls.name_decorations(d, g.site), raw_values):
+        for dec, raw in zip(urls.name_decorations(d, g.site),
+                            urls.raw_decorations(d)):
             dec_id = f"decoration:{req.attrs['request_id']}:{dec.kind}:{dec.position}"
             g.ensure_node(
                 dec_id, DECORATION,
-                decoration=dec, value=dec.value, raw_value=raw_value,
+                decoration=dec, value=dec.value, raw_value=raw.value,
                 kind=dec.kind, key=dec.id.key, fqdn=dec.id.fqdn,
                 position=dec.position, request=req.id)
             g.add_edge(req.id, dec_id, INTERACTION, "splits")
     return g
-
-
-def _raw_decoration_values(d: urls.DecoratedUrl) -> list[str]:
-    """Wire-format value of each decoration, in name_decorations order."""
-    out = list(d.raw_dir_segments)
-    for token in d.raw_query_tokens:
-        out.append(token.split("=", 1)[1] if "=" in token else "")
-    if d.raw_fragment is not None:
-        if d.fragment_is_kv:
-            for token in d.raw_fragment.split("&"):
-                out.append(token.split("=", 1)[1])
-        else:
-            out.append(d.raw_fragment)
-    return out
 
 
 def encode_candidates(value: str) -> set[tuple[str, str]]:

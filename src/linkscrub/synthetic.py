@@ -10,13 +10,12 @@ pipeline reproduces them.
 
 from __future__ import annotations
 
-import base64
-import hashlib
 import os
 import random
 import string
 from dataclasses import dataclass
 
+from .graph import ENCODINGS, encode_candidates
 from .trace import Trace, TraceEvent, dump_trace
 from .urls import DecorationId, build_url
 
@@ -49,17 +48,8 @@ class SyntheticConfig:
                 "identifier_length must be >= 8 so identifiers survive the "
                 "min-length pre-processing")
         for enc in self.encodings:
-            if enc not in ("plain", "base64", "md5", "sha1", "sha256"):
+            if enc not in ENCODINGS:
                 raise ValueError(f"unknown encoding {enc!r}")
-
-
-def _encode(value: str, encoding: str) -> str:
-    data = value.encode("utf-8")
-    if encoding == "plain":
-        return value
-    if encoding == "base64":
-        return base64.b64encode(data).decode("ascii")
-    return getattr(hashlib, encoding)(data).hexdigest()
 
 
 class _SiteBuilder:
@@ -117,7 +107,7 @@ def _build_tracker(b: _SiteBuilder, cfg: SyntheticConfig, j: int) -> None:
         "length": 15000 + 100 * j})
 
     uid = b.identifier(cfg.identifier_length)
-    uid_enc = _encode(uid, encoding)
+    uid_enc = dict(encode_candidates(uid))[encoding]
     b.emit("storage_set", script,
            {"store": "cookie", "key": f"_uid{j}", "value": uid})
     b.emit("storage_get", script,
@@ -159,7 +149,7 @@ def _build_tracker(b: _SiteBuilder, cfg: SyntheticConfig, j: int) -> None:
            {"store": "cookie", "key": f"_sid{j}", "value": sid})
     partner = f"x.trk{(j + 1) % max(1, cfg.trackers_per_site)}.example"
     rid = b.request(script, partner, [], "partner",
-                    [("psid", _encode(sid, encoding))])
+                    [("psid", dict(encode_candidates(sid))[encoding])])
     b.label(partner, "psid", ATS)
     b.response(rid)
 

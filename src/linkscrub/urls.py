@@ -77,6 +77,22 @@ class DecoratedUrl:
         return isinstance(self.fragment, tuple)
 
 
+@dataclass(frozen=True)
+class RawDecoration:
+    """Original octets of one decoration, as listed by :func:`raw_decorations`.
+
+    ``key`` is the raw query/fragment key, or ``path|<i>`` / ``fragment`` for
+    a path level / singular fragment. ``bare`` marks a component written
+    without ``=``: a path level or singular fragment (written as ``value``)
+    and a key-only query token (written as ``key``, ``value`` empty).
+    """
+
+    kind: str
+    key: str
+    value: str
+    bare: bool
+
+
 def _decode(text: str) -> str:
     """One round of percent-decoding; malformed escapes are left alone."""
     return unquote(text, errors="replace")
@@ -219,6 +235,50 @@ def name_decorations(d: DecoratedUrl, site: str) -> list[LinkDecoration]:
     return decs
 
 
+def raw_decorations(d: DecoratedUrl) -> list[RawDecoration]:
+    """Wire-level view of the decorations of ``d``, in ``name_decorations``
+    order."""
+    decs = [RawDecoration(PATH_KIND, f"path|{i}", seg, True)
+            for i, seg in enumerate(d.raw_dir_segments)]
+    tokens = [(QUERY_KIND, t) for t in d.raw_query_tokens]
+    if d.fragment_is_kv:
+        tokens += [(FRAGMENT_KIND, t) for t in d.raw_fragment.split("&")]
+    for kind, token in tokens:
+        key, eq, value = token.partition("=")
+        decs.append(RawDecoration(kind, key, value, not eq))
+    if d.raw_fragment is not None and not d.fragment_is_kv:
+        decs.append(RawDecoration(FRAGMENT_KIND, "fragment", d.raw_fragment,
+                                  True))
+    return decs
+
+
+def with_decorations(d: DecoratedUrl, decs) -> str:
+    """Reassemble ``d`` with its decorations replaced by ``decs``.
+
+    Everything outside the decorations keeps its original octets. A query or
+    fragment left without decorations loses its ``?`` / ``#``; a ``?`` that
+    carried no tokens to begin with stays.
+    """
+    dirs: list[str] = []
+    query: list[str] = []
+    fragment: list[str] = []
+    wire = {PATH_KIND: dirs, QUERY_KIND: query, FRAGMENT_KIND: fragment}
+    for dec in decs:
+        if not dec.bare:
+            text = f"{dec.key}={dec.value}"
+        else:
+            text = dec.key if dec.kind == QUERY_KIND else dec.value
+        wire[dec.kind].append(text)
+    return reassemble(replace(
+        d,
+        raw_dir_segments=tuple(dirs),
+        raw_query_tokens=tuple(query),
+        raw_fragment="&".join(fragment) if fragment else None,
+        had_path=d.had_path or bool(dirs),
+        had_query=d.had_query and (bool(query) or not d.raw_query_tokens),
+    ))
+
+
 def build_url(scheme: str, fqdn: str, dir_segments=(), resource_name: str = "",
               query_params=(), fragment=None) -> str:
     """Construct a URL from decoded components (used by generators)."""
@@ -242,13 +302,6 @@ def build_url(scheme: str, fqdn: str, dir_segments=(), resource_name: str = "",
             out.append("&".join(
                 f"{_encode_token(k)}={_encode_token(v)}" for k, v in fragment))
     return "".join(out)
-
-
-def _raw_query_key(token: str) -> Optional[str]:
-    """Original octets of a query token's key, or None if the token had no '='."""
-    if "=" in token:
-        return token.split("=", 1)[0]
-    return None
 
 
 def random_token(rng: random.Random, length: int) -> str:
@@ -303,76 +356,13 @@ def sanitize(url: str, site: str, rules, mode: str = "replace",
                     audit.append(
                         f"inapplicable rule {rule.key} (URL depth {depth}): {url}")
 
-    def matched(kind: str, key: str) -> bool:
-        return any(_rule_matches(r, site, d.fqdn, key) for r in rules)
-
-    new_segments = list(d.path_segments)
-    new_raw_dirs = list(d.raw_dir_segments)
-    for i, seg in enumerate(d.path_segments):
-        if matched(PATH_KIND, f"path|{i}"):
-            token = random_token(rng, len(seg))
-            new_segments[i] = token
-            new_raw_dirs[i] = _encode_token(token)
-
-    new_params: list[tuple[str, str]] = []
-    new_tokens: list[str] = []
-    for (k, v), raw in zip(d.query_params, d.raw_query_tokens):
-        if matched(QUERY_KIND, k):
-            if mode == "strip":
-                continue
-            token = random_token(rng, len(v))
-            raw_key = _raw_query_key(raw)
-            if raw_key is None:
-                raw_key = raw
-            new_params.append((k, token))
-            new_tokens.append(f"{raw_key}={_encode_token(token)}")
-        else:
-            new_params.append((k, v))
-            new_tokens.append(raw)
-
-    new_fragment = d.fragment
-    new_raw_fragment = d.raw_fragment
-    if d.fragment is not None:
-        if d.fragment_is_kv:
-            kept: list[tuple[str, str]] = []
-            raw_tokens = d.raw_fragment.split("&")
-            kept_raw: list[str] = []
-            for (k, v), raw in zip(d.fragment, raw_tokens):
-                if matched(FRAGMENT_KIND, k):
-                    if mode == "strip":
-                        continue
-                    token = random_token(rng, len(v))
-                    kept.append((k, token))
-                    kept_raw.append(f"{raw.split('=', 1)[0]}={_encode_token(token)}")
-                else:
-                    kept.append((k, v))
-                    kept_raw.append(raw)
-            if kept:
-                new_fragment = tuple(kept)
-                new_raw_fragment = "&".join(kept_raw)
-            else:
-                new_fragment = None
-                new_raw_fragment = None
-        else:
-            if matched(FRAGMENT_KIND, "fragment"):
-                if mode == "strip":
-                    new_fragment = None
-                    new_raw_fragment = None
-                else:
-                    token = random_token(rng, len(d.fragment))
-                    new_fragment = token
-                    new_raw_fragment = _encode_token(token)
-
-    stripped_all = bool(d.raw_query_tokens) and not new_tokens
-    had_query = d.had_query and not stripped_all
-    out = replace(
-        d,
-        path_segments=tuple(new_segments),
-        raw_dir_segments=tuple(new_raw_dirs),
-        query_params=tuple(new_params),
-        raw_query_tokens=tuple(new_tokens),
-        fragment=new_fragment,
-        raw_fragment=new_raw_fragment,
-        had_query=had_query,
-    )
-    return reassemble(out)
+    out: list[RawDecoration] = []
+    for dec, raw in zip(name_decorations(d, site), raw_decorations(d)):
+        if not any(_rule_matches(r, site, d.fqdn, dec.id.key) for r in rules):
+            out.append(raw)
+        elif mode == "replace" or dec.kind == PATH_KIND:
+            token = _encode_token(random_token(rng, len(dec.value)))
+            # a key-only query token gains its "="
+            out.append(replace(raw, value=token,
+                               bare=raw.bare and dec.kind != QUERY_KIND))
+    return with_decorations(d, out)

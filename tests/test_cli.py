@@ -6,6 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from linkscrub.cli import main
+from linkscrub.trace import write_trace
 
 
 @pytest.fixture(scope="module")
@@ -162,3 +163,37 @@ def test_generate_rejects_short_identifier(tmp_path):
          "--out", str(tmp_path / "x"), "--identifier-length", "4"],
         capture_output=True, text=True)
     assert proc.returncode == 1
+
+
+def test_emit_list_refuses_other_feature_version(corpus, tmp_path):
+    root, traces = corpus
+    matrix = tmp_path / "matrix.csv"
+    model = tmp_path / "model.json"
+    runner = CliRunner()
+    assert runner.invoke(main, ["features", *traces, "-o",
+                                str(matrix)]).exit_code == 0
+    result = runner.invoke(main, [
+        "--format-version", "2", "train", "--matrix", str(matrix),
+        "--labels", str(root / "labels.csv"), "--trees", "5",
+        "-o", str(model)])
+    assert result.exit_code == 0, result.output
+    proc = subprocess.run(
+        [sys.executable, "-m", "linkscrub.cli", "emit-list",
+         "--model", str(model), "--matrix", str(matrix)],
+        capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert "feature version" in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("command", ["features", "label", "stats"])
+def test_unparseable_request_url_is_reported(command, tb, tmp_path):
+    trace = tmp_path / "t.jsonl"
+    t = (tb.script("s1").request("s1", "r1", "notaurl")
+         .request("s1", "r2", "https://t.example/?uid=abcdefgh12345678")
+         .build())
+    with open(trace, "w", encoding="utf-8") as fh:
+        write_trace(t, fh)
+    result = CliRunner().invoke(main, [command, str(trace)])
+    assert result.exit_code == 0, result.output
+    assert "warning: unparseable request URL 'notaurl'" in result.stderr

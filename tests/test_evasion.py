@@ -148,3 +148,41 @@ def test_combine_decorations_helper():
     assert combine_decorations(decompose("https://t.example/r")) is None
     digest = combine_decorations(decompose("https://t.example/?a=1"))
     assert len(digest) == 64
+    # an empty singular fragment adds nothing
+    assert combine_decorations(decompose("https://t.example/r#")) is None
+    assert combine_decorations(decompose("https://t.example/?a=1#")) == digest
+
+
+_TRANSFORMS = {"rename": lambda traces: evade_rename(traces, seed=0),
+               "split": evade_split, "combine": evade_combine}
+
+
+@pytest.mark.parametrize("technique,url,expected", [
+    # key-only query tokens and singular fragments keep their names
+    ("rename", "https://t.example/a/b/r?x&k=v#frag",
+     "https://t.example/a/b/r?x&q=v#frag"),
+    ("rename", "https://t.example/r?k=v#s=1&t=2",
+     "https://t.example/r?r=v#i=1&6=2"),
+    ("rename", "https://t.example/?u%69d=0123456789",
+     "https://t.example/?ETC9z=0123456789"),
+    ("rename", "https://t.example/r?", "https://t.example/r?"),
+    ("split", "https://t.example/r#abcdefghijk",
+     "https://t.example/r#fragment_0=abcdefgh&fragment_1=ijk"),
+    ("split", "https://t.example/?u%69d=0123456789",
+     "https://t.example/?u%69d_0=01234567&u%69d_1=89"),
+    ("split", "https://t.example/a/r?", "https://t.example/a/r?"),
+    ("split", "https://t.example/r#", "https://t.example/r#"),
+    # combine drops a "?" without tokens, which sanitize keeps
+    ("combine", "https://t.example/a/r?",
+     "https://t.example/"
+     "1cd7eb74d457bffa3b05429f3ba756d2e2d7a87e32f61b7aab4907edfdefcfbc/r"),
+    ("combine", "https://t.example/r?", "https://t.example/r?"),
+    ("combine", "https://t.example/r#", "https://t.example/r#"),
+    ("combine", "https://t.example?x=1",
+     "https://t.example/"
+     "1f206b11c23e28cc250ded7fc0098d3823a8467a54340f1ac4e535cb8544493f/"),
+])
+def test_transform_decoration_edge_cases(technique, url, expected, tb):
+    t = tb.request("s1", "r1", url).build()
+    out = _TRANSFORMS[technique]([t])[0]
+    assert out.events[0].payload["url"] == expected

@@ -105,7 +105,25 @@ def url_strategy(draw):
 @settings(max_examples=300, deadline=None)
 @given(url_strategy())
 def test_round_trip_property(url):
-    assert urls.reassemble(urls.decompose(url)) == url
+    d = urls.decompose(url)
+    assert urls.reassemble(d) == url
+    assert urls.with_decorations(d, urls.raw_decorations(d)) == url
+
+
+@pytest.mark.parametrize("url,values", [
+    ("https://h.example/a%2Fb//r?u%69d=1&k&=&x=a=b#f%41",
+     ["a%2Fb", "", "1", "", "", "a=b", "f%41"]),
+    ("https://h.example/?a#x=1&y=", ["", "1", ""]),
+    ("https://h.example/p#", [""]),
+    ("https://h.example?#a=1&b", ["a=1&b"]),
+])
+def test_raw_decorations_follow_name_order(url, values):
+    d = urls.decompose(url)
+    raws = urls.raw_decorations(d)
+    assert [r.value for r in raws] == values
+    assert [r.kind for r in raws] == \
+        [x.kind for x in urls.name_decorations(d, "s.example")]
+    assert urls.with_decorations(d, raws) == url
 
 
 @settings(max_examples=150, deadline=None)
@@ -167,6 +185,39 @@ def test_sanitize_path_rule_never_strips():
     assert len(d.path_segments) == 1
     assert len(d.path_segments[0]) == 4
     assert d.path_segments[0] != "abcd"
+
+
+@pytest.mark.parametrize("url,keys,mode,expected", [
+    # a matched key-only query token gains its "=", or goes
+    ("https://h.example/?uid", ["uid"], "replace", "https://h.example/?uid="),
+    ("https://h.example/?uid", ["uid"], "strip", "https://h.example/"),
+    # a "?" that carries no tokens stays
+    ("https://h.example/p?", ["uid"], "replace", "https://h.example/p?"),
+    ("https://h.example/p?", ["uid"], "strip", "https://h.example/p?"),
+    # an empty singular fragment
+    ("https://h.example/p#", ["fragment"], "replace", "https://h.example/p#"),
+    ("https://h.example/p#", ["fragment"], "strip", "https://h.example/p"),
+    ("https://h.example/p#", [], "strip", "https://h.example/p#"),
+    # a fragment or query stripped of every token loses its delimiter
+    ("https://h.example/p#a=1&b=2", ["a", "b"], "strip",
+     "https://h.example/p"),
+    ("https://h.example/p#a=1&b=2", ["a"], "strip", "https://h.example/p#b=2"),
+    ("https://h.example/p?a=1&b=2#f", ["a", "b"], "strip",
+     "https://h.example/p#f"),
+    # keys match decoded; a rewritten token keeps its raw key octets
+    ("https://h.example/?u%69d=abcd&x=1", ["uid"], "replace",
+     "https://h.example/?u%69d=2yW4&x=1"),
+    ("https://h.example/?u%69d=abcd&x=1", ["uid"], "strip",
+     "https://h.example/?x=1"),
+    ("https://h.example/#u%69d=abcd&x=1", ["uid"], "replace",
+     "https://h.example/#u%69d=2yW4&x=1"),
+    # a path level under strip is replaced, not removed
+    ("https://h.example/abcd/x?a=1", ["path|0", "a"], "strip",
+     "https://h.example/2yW4/x"),
+])
+def test_sanitize_decoration_edge_cases(url, keys, mode, expected):
+    out = urls.sanitize(url, "s", [_rule(k) for k in keys], mode=mode)
+    assert out == expected
 
 
 def test_sanitize_untouched_bytes_survive():
