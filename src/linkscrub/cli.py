@@ -50,7 +50,7 @@ def run() -> None:
     except InvariantError as exc:
         click.echo(f"invariant violation: {exc}", err=True)
         sys.exit(2)
-    except (InputError, LinkscrubError, OSError) as exc:
+    except (InputError, LinkscrubError, OSError, UnicodeDecodeError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
 
@@ -225,12 +225,15 @@ def cv(obj, matrix, labels_fh, folds, trees, seed):
 
 
 def _load_model(obj, fh):
-    """Load a model, refusing one trained for another feature version."""
+    """Load a model, refusing one trained for another feature version or
+    on other features than the matrix columns."""
     fmodel = forest.load_forest(fh)
     if fmodel.feature_version != obj["format_version"]:
         raise InputError(
             f"model feature version {fmodel.feature_version} does not match "
             f"expected {obj['format_version']}")
+    if fmodel.feature_names != features.FEATURE_NAMES:
+        raise InputError("model feature names differ from the matrix columns")
     return fmodel
 
 

@@ -15,6 +15,7 @@ from typing import IO, Iterable, Optional
 
 import numpy as np
 
+from .errors import InputError
 from .graph import (DECORATION, EXFILTRATION, HTML, INTERACTION, SCRIPT,
                     PageGraph)
 
@@ -284,7 +285,9 @@ class _GraphIndex:
 
     def parent_script(self, request_id: str) -> Optional[str]:
         initiator = self.initiates_in.get(request_id)
-        while initiator is not None:
+        seen = set()
+        while initiator is not None and initiator not in seen:
+            seen.add(initiator)
             node = self.g.nodes[initiator]
             if node.kind == SCRIPT:
                 return initiator
@@ -472,17 +475,23 @@ def write_feature_matrix(rows: Iterable[dict], fh: IO[str]) -> None:
 def read_feature_matrix(fh: IO[str]):
     """Returns (meta_rows, X) and validates the feature-name version."""
     reader = csv.reader(fh)
-    header = next(reader)
+    header = next(reader, None)
     expected = list(_META_COLUMNS) + [_versioned(n) for n in FEATURE_NAMES]
     if header != expected:
-        raise ValueError(
-            "feature matrix header does not match feature version "
+        raise InputError(
+            "line 1: feature matrix header does not match feature version "
             f"{FEATURE_VERSION}")
     meta = []
     data = []
     for row in reader:
+        if len(row) != len(expected):
+            raise InputError(f"line {reader.line_num}: expected "
+                             f"{len(expected)} fields, got {len(row)}")
+        try:
+            data.append([float(v) for v in row[len(_META_COLUMNS):]])
+        except ValueError as exc:
+            raise InputError(f"line {reader.line_num}: {exc}") from exc
         meta.append(dict(zip(_META_COLUMNS, row[:len(_META_COLUMNS)])))
-        data.append([float(v) for v in row[len(_META_COLUMNS):]])
     X = np.array(data, dtype=np.float64) if data else \
         np.empty((0, len(FEATURE_NAMES)))
     return meta, X

@@ -101,8 +101,12 @@ def export_adblock(rules: Iterable[FilterRule],
                    warnings: Optional[list] = None) -> str:
     """Render query-key rules as ``$removeparam`` lines.
 
-    Path and fragment rules cannot be expressed in the adblock dialect; they
-    are emitted to a commented sidecar section (one warning per rule).
+    The request host becomes the ``||host^`` anchor, which also covers the
+    host's subdomains, so ``*.suffix`` becomes ``||suffix^`` and ``*`` has no
+    anchor. The site scope becomes ``domain=``, which restricts the page a
+    request is sent from; scope ``*`` has none. Path and fragment rules
+    cannot be expressed in the adblock dialect; they are emitted to a
+    commented sidecar section (one warning per rule).
     """
     lines = []
     sidecar = []
@@ -113,10 +117,9 @@ def export_adblock(rules: Iterable[FilterRule],
                 warnings.append(
                     f"rule {r.fqdn}|{r.key} not expressible as removeparam")
             continue
-        if r.fqdn == "*":
-            lines.append(f"$removeparam={r.key}")
-        else:
-            lines.append(f"$removeparam={r.key},domain={r.fqdn}")
+        anchor = "" if r.fqdn == "*" else f"||{r.fqdn.removeprefix('*.')}^"
+        scope = "" if r.scope == "*" else f",domain={r.scope}"
+        lines.append(f"{anchor}$removeparam={r.key}{scope}")
     out = list(lines)
     if sidecar:
         out.append("! --- rules outside the removeparam dialect ---")

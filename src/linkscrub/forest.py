@@ -358,14 +358,50 @@ def save_forest(forest: Forest, fh: IO[str]) -> None:
     fh.write("\n")
 
 
+def _check_tree(tree, n_features: int, where: str) -> None:
+    """Raise InputError unless every node of ``tree`` has class counts with
+    a positive sum and every split names a feature and a threshold."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        counts = node.get("counts") if isinstance(node, dict) else None
+        if not (isinstance(counts, list) and len(counts) == 2
+                and all(type(c) is int and c >= 0 for c in counts)
+                and sum(counts) > 0):
+            raise InputError(f"{where}: node without counts [n0, n1]: "
+                             f"{node!r:.60}")
+        if "f" in node:
+            f, t = node["f"], node.get("t")
+            if not (type(f) is int and 0 <= f < n_features
+                    and type(t) in (int, float)):
+                raise InputError(f"{where}: split needs a feature index "
+                                 f"below {n_features} and a threshold")
+            stack += [node.get("left"), node.get("right")]
+
+
 def load_forest(fh: IO[str]) -> Forest:
-    payload = json.load(fh)
-    if payload.get("format") != MODEL_FORMAT_VERSION:
-        raise InputError(
-            f"unsupported model format {payload.get('format')!r}")
-    return Forest(
-        trees=payload["trees"],
-        feature_names=tuple(payload["feature_names"]),
-        feature_version=payload["feature_version"],
-        config=ForestConfig(**payload["config"]),
-    )
+    try:
+        payload = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"model is not JSON: line {exc.lineno}: "
+                         f"{exc.msg}") from exc
+    fmt = payload.get("format") if isinstance(payload, dict) else None
+    if fmt != MODEL_FORMAT_VERSION:
+        raise InputError(f"unsupported model format {fmt!r}")
+    for name, jtype, json_name in (
+            ("trees", list, "array"), ("feature_names", list, "array"),
+            ("feature_version", str, "string"), ("config", dict, "object")):
+        if not isinstance(payload.get(name), jtype):
+            raise InputError(f"model field {name!r} is missing or not a "
+                             f"JSON {json_name}")
+    if not payload["trees"]:
+        raise InputError("model has no trees")
+    names = payload["feature_names"]
+    for i, tree in enumerate(payload["trees"]):
+        _check_tree(tree, len(names), f"model tree {i}")
+    try:
+        config = ForestConfig(**payload["config"])
+    except TypeError as exc:
+        raise InputError(f"model field 'config': {exc}") from exc
+    return Forest(trees=payload["trees"], feature_names=tuple(names),
+                  feature_version=payload["feature_version"], config=config)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import IO, Iterable, Optional
 
 from . import urls
-from .errors import RuleLoadError, UrlParseError
+from .errors import InputError, RuleLoadError, UrlParseError
 from .graph import EXFILTRATION, PageGraph
 from .urls import DecorationId, fqdn_pattern_matches
 
@@ -228,6 +228,9 @@ def read_labels(fh: IO[str]) -> list[LabeledDecoration]:
     for row in reader:
         if not row:
             continue
+        if len(row) != len(_LABEL_COLUMNS):
+            raise InputError(f"line {reader.line_num}: expected "
+                             f"{len(_LABEL_COLUMNS)} fields, got {len(row)}")
         site, fqdn, key, label, prov = row
         out.append(LabeledDecoration(
             DecorationId(site, fqdn, key), label,

@@ -2,33 +2,63 @@
 
 The trace file is the public contract for adapters from real crawlers:
 UTF-8, one JSON object per line, a ``{"format": 1}`` header line first, then
-events with fields ``seq``, ``kind``, ``page_url``, ``site``, ``actor``,
-``payload``. One trace covers one page load.
+one event object per line. One trace covers one page load. ``ENVELOPE`` and
+``PAYLOAD_FIELDS`` below are the one statement of every event's fields, their
+JSON types and which are required; :func:`check_events` enforces them along
+with the rules that span fields and events.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import IO, Iterable, Mapping, Union
+from typing import IO, Callable, Iterable, Iterator, Mapping, Optional, Union
 
 from .errors import TraceParseError
 
 FORMAT_VERSION = 1
 
-EVENT_KINDS = frozenset({
-    "script_load",
-    "eval_script",
-    "storage_set",
-    "storage_get",
-    "request",
-    "response",
-    "redirect",
-    "element_create",
-    "element_request",
-})
-
 STORES = frozenset({"cookie", "localStorage"})
+
+
+# JSON type -> test of a decoded value. Exact type tests keep a JSON
+# true/false, which Python reads as a bool, from counting as an integer.
+# Integers beyond 2**53 are not exact in every JSON reader (RFC 7493) and
+# overflow a float; a lone surrogate cannot be written back out as UTF-8.
+JSON_TYPES: dict[str, Callable[[object], bool]] = {
+    "string": lambda v: type(v) is str and (
+        v.isascii() or not any("\ud800" <= c <= "\udfff" for c in v)),
+    "integer": lambda v: type(v) is int and abs(v) < 2 ** 53,
+    "object": lambda v: type(v) is dict or isinstance(v, Mapping),
+    "array": lambda v: isinstance(v, (list, tuple)),
+}
+
+# field -> (JSON type, required); fields not listed are allowed and ignored.
+# A dict of fields is an object's type, [type] an array's.
+ENVELOPE = {"seq": ("integer", True), "kind": ("string", True),
+            "page_url": ("string", True), "site": ("string", True),
+            "actor": ("string", True), "payload": ("object", True)}
+_SCRIPT = {"script_id": ("string", False), "url": ("string", False),
+           "length": ("integer", False)}
+_STORAGE = {"store": ("string", True), "key": ("string", True),
+            "value": ("string", False)}
+_REQUEST = {"url": ("string", True), "request_id": ("string", True)}
+PAYLOAD_FIELDS = {
+    "script_load": _SCRIPT,
+    "eval_script": _SCRIPT,
+    "storage_set": _STORAGE,
+    "storage_get": _STORAGE,
+    "request": _REQUEST,
+    "element_request": _REQUEST,
+    "response": {"request_id": ("string", True), "status": ("integer", False),
+                 "set_storage": ([_STORAGE], False),
+                 "payload": ("string", False)},
+    "redirect": {"from_request_id": ("string", True),
+                 "request_id": ("string", True), "to_url": ("string", True)},
+    "element_create": {"element_id": ("string", True),
+                       "tag": ("string", False)},
+}
+EVENT_KINDS = frozenset(PAYLOAD_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -41,14 +71,7 @@ class TraceEvent:
     payload: Mapping
 
     def to_record(self) -> dict:
-        return {
-            "seq": self.seq,
-            "kind": self.kind,
-            "page_url": self.page_url,
-            "site": self.site,
-            "actor": self.actor,
-            "payload": dict(self.payload),
-        }
+        return {**vars(self), "payload": dict(self.payload)}
 
 
 @dataclass(frozen=True)
@@ -69,155 +92,128 @@ class Finding:
     seqs: tuple[int, ...] = ()
 
 
-_REQUIRED_FIELDS = ("seq", "kind", "page_url", "site", "actor", "payload")
+def _problems(value, jtype, path: str) -> list[tuple[str, str]]:
+    """(code, message) for each way ``value``, found at ``path``, breaks
+    ``jtype``: a JSON type name, a dict of an object's fields, or a
+    one-element list for an array of such values."""
+    if isinstance(jtype, str):
+        if JSON_TYPES[jtype](value):
+            return []
+        return [("bad-type", f"{path} must be a JSON {jtype}, "
+                             f"got {value!r:.40}")]
+    if isinstance(jtype, list):
+        if not JSON_TYPES["array"](value):
+            return _problems(value, "array", path)
+        return [problem for j, item in enumerate(value)
+                for problem in _problems(item, jtype[0], f"{path}[{j}]")]
+    if not JSON_TYPES["object"](value):
+        return _problems(value, "object", path or "event")
+    problems = []
+    for name, (field_type, required) in jtype.items():
+        at = f"{path}.{name}" if path else name
+        if name not in value:
+            if required:
+                problems.append(("missing-field", f"{at} is missing"))
+        elif not (isinstance(field_type, str)  # the common case, made cheap
+                  and JSON_TYPES[field_type](value[name])):
+            problems += _problems(value[name], field_type, at)
+    if not problems and jtype is _STORAGE:  # storage events and entries
+        if value["store"] not in STORES:
+            problems.append(("bad-store", f"{path}.store {value['store']!r} "
+                                          f"is not one of {sorted(STORES)}"))
+        if not value["key"]:
+            problems.append(("empty-storage-key", f"{path}.key is empty"))
+    return problems
 
 
-def _check_event(ev: TraceEvent, known_requests: set, line_no: int) -> None:
-    if ev.kind not in EVENT_KINDS:
-        raise TraceParseError(f"unknown event kind {ev.kind!r}", line_no)
-    p = ev.payload
-    if ev.kind in ("storage_set", "storage_get"):
-        if p.get("store") not in STORES:
-            raise TraceParseError(
-                f"storage event needs store in {sorted(STORES)}", line_no)
-        if "key" not in p:
-            raise TraceParseError("storage event needs a key", line_no)
-    elif ev.kind in ("request", "element_request"):
-        if "url" not in p or "request_id" not in p:
-            raise TraceParseError("request needs url and request_id", line_no)
-        known_requests.add(p["request_id"])
-    elif ev.kind == "response":
-        if p.get("request_id") not in known_requests:
-            raise TraceParseError(
-                f"response references unknown request id {p.get('request_id')!r}",
-                line_no)
-    elif ev.kind == "redirect":
-        if p.get("from_request_id") not in known_requests:
-            raise TraceParseError(
-                f"redirect references unknown request id {p.get('from_request_id')!r}",
-                line_no)
-        if "to_url" not in p or "request_id" not in p:
-            raise TraceParseError("redirect needs to_url and request_id", line_no)
-        known_requests.add(p["request_id"])
-    elif ev.kind == "element_create":
-        if "element_id" not in p:
-            raise TraceParseError("element_create needs element_id", line_no)
+def check_events(events: Iterable[Mapping], site: Optional[str] = None
+                 ) -> Iterator[tuple[int, str, str]]:
+    """Yield ``(event index, code, message)`` for every broken invariant of
+    ``events``, records as decoded from JSON, read one at a time. An event
+    whose fields break the table gets no further checks. ``site`` is the
+    trace's site; ``None`` takes the first event's."""
+    known_requests: set = set()
+    last_seq = None
+    for i, ev in enumerate(events):
+        problems = _problems(ev, ENVELOPE, "")
+        if not problems:
+            kind = ev["kind"]
+            if kind not in PAYLOAD_FIELDS:
+                problems.append(("unknown-kind",
+                                 f"unknown event kind {kind!r}"))
+            else:
+                problems = _problems(ev["payload"], PAYLOAD_FIELDS[kind],
+                                     "payload")
+        if problems:
+            yield from ((i, code, message) for code, message in problems)
+            continue
+        seq, p = ev["seq"], ev["payload"]
+        if last_seq is not None and seq <= last_seq:
+            code = "duplicate-seq" if seq == last_seq else "non-monotone-seq"
+            yield i, code, f"seq {seq} after {last_seq}"
+        last_seq = seq
+        if site is None:
+            site = ev["site"]
+        elif ev["site"] != site:
+            yield i, "site-mismatch", (f"event site {ev['site']!r} differs "
+                                       f"from trace site {site!r}")
+        if kind in ("response", "redirect"):
+            ref = p["request_id" if kind == "response" else "from_request_id"]
+            if ref not in known_requests:
+                yield i, f"dangling-{kind}", (
+                    f"{kind} references unknown request id {ref!r}")
+        if kind in ("request", "element_request", "redirect"):
+            known_requests.add(p["request_id"])
 
 
 def parse_trace(stream: Union[IO[str], Iterable[str]]) -> Trace:
     """Parse one line-delimited trace.
 
-    An empty stream yields an empty Trace. Unknown kinds, dangling request
-    references, and non-monotone seq numbers raise :class:`TraceParseError`
-    with the offending line number.
+    An empty stream yields an empty Trace. A line that is not JSON, a missing
+    or wrong header, and the first event that breaks a rule of
+    :func:`check_events` raise :class:`TraceParseError` with the offending
+    line number.
     """
-    events: list[TraceEvent] = []
-    known_requests: set = set()
-    header_seen = False
-    last_seq = None
-    site = ""
-    page_url = ""
-    for line_no, line in enumerate(stream, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise TraceParseError(f"invalid JSON ({exc.msg})", line_no) from exc
-        if not header_seen:
-            if record.get("format") != FORMAT_VERSION:
+    records: list[dict] = []
+    line_nos: list[int] = []
+
+    def decoded() -> Iterator[dict]:
+        header_seen = False
+        for line_no, line in enumerate(stream, start=1):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
                 raise TraceParseError(
-                    f"expected header {{\"format\": {FORMAT_VERSION}}}", line_no)
-            header_seen = True
-            continue
-        missing = [f for f in _REQUIRED_FIELDS if f not in record]
-        if missing:
-            raise TraceParseError(f"missing fields {missing}", line_no)
-        ev = TraceEvent(
-            seq=record["seq"],
-            kind=record["kind"],
-            page_url=record["page_url"],
-            site=record["site"],
-            actor=record["actor"],
-            payload=record["payload"],
-        )
-        if not isinstance(ev.seq, int):
-            raise TraceParseError("seq must be an integer", line_no)
-        if last_seq is not None and ev.seq <= last_seq:
-            raise TraceParseError(
-                f"non-monotone seq {ev.seq} after {last_seq}", line_no)
-        last_seq = ev.seq
-        if not events:
-            site = ev.site
-            page_url = ev.page_url
-        elif ev.site != site:
-            raise TraceParseError(
-                f"event site {ev.site!r} differs from trace site {site!r}", line_no)
-        _check_event(ev, known_requests, line_no)
-        events.append(ev)
-    return Trace(site=site, page_url=page_url, events=tuple(events))
+                    f"invalid JSON ({exc.msg})", line_no) from exc
+            if not header_seen:
+                if not (isinstance(record, dict)
+                        and type(record.get("format")) is int
+                        and record["format"] == FORMAT_VERSION):
+                    raise TraceParseError(
+                        f"expected header {{\"format\": {FORMAT_VERSION}}}",
+                        line_no)
+                header_seen = True
+                continue
+            records.append(record)
+            line_nos.append(line_no)
+            yield record
+
+    for index, _code, message in check_events(decoded()):
+        raise TraceParseError(message, line_nos[index])
+    events = tuple(
+        TraceEvent(r["seq"], r["kind"], r["page_url"], r["site"], r["actor"],
+                   r["payload"]) for r in records)
+    if not events:
+        return Trace(site="", page_url="")
+    return Trace(events[0].site, events[0].page_url, events)
 
 
 def validate_trace(t: Trace) -> list[Finding]:
     """Non-mutating invariant check; an empty report means the trace is valid."""
-    findings: list[Finding] = []
-    seen_seq: dict[int, int] = {}
-    known_requests: set = set()
-    for ev in t.events:
-        if ev.seq in seen_seq:
-            findings.append(Finding(
-                "duplicate-seq",
-                f"seq {ev.seq} used by two events",
-                (seen_seq[ev.seq], ev.seq)))
-        else:
-            seen_seq[ev.seq] = ev.seq
-        if ev.site != t.site:
-            findings.append(Finding(
-                "site-mismatch",
-                f"event {ev.seq} has site {ev.site!r}, trace has {t.site!r}",
-                (ev.seq,)))
-        if ev.kind not in EVENT_KINDS:
-            findings.append(Finding(
-                "unknown-kind", f"event {ev.seq}: kind {ev.kind!r}", (ev.seq,)))
-            continue
-        p = ev.payload
-        if ev.kind in ("storage_set", "storage_get"):
-            if p.get("store") not in STORES:
-                findings.append(Finding(
-                    "bad-store", f"event {ev.seq}: store {p.get('store')!r}",
-                    (ev.seq,)))
-            if not p.get("key"):
-                findings.append(Finding(
-                    "empty-storage-key", f"event {ev.seq}: empty storage key",
-                    (ev.seq,)))
-            if not isinstance(p.get("value", ""), str):
-                findings.append(Finding(
-                    "bad-storage-value",
-                    f"event {ev.seq}: storage value must be text", (ev.seq,)))
-        elif ev.kind in ("request", "element_request"):
-            known_requests.add(p.get("request_id"))
-        elif ev.kind == "response":
-            if p.get("request_id") not in known_requests:
-                findings.append(Finding(
-                    "dangling-response",
-                    f"event {ev.seq}: unknown request id {p.get('request_id')!r}",
-                    (ev.seq,)))
-        elif ev.kind == "redirect":
-            if p.get("from_request_id") not in known_requests:
-                findings.append(Finding(
-                    "dangling-redirect",
-                    f"event {ev.seq}: unknown request id "
-                    f"{p.get('from_request_id')!r}",
-                    (ev.seq,)))
-            known_requests.add(p.get("request_id"))
-    # monotone check over the ordered event list
-    for a, b in zip(t.events, t.events[1:]):
-        if b.seq <= a.seq and a.seq != b.seq:
-            findings.append(Finding(
-                "non-monotone-seq",
-                f"seq {b.seq} follows {a.seq}", (a.seq, b.seq)))
-    return findings
+    return [Finding(code, message, (t.events[i].seq,))
+            for i, code, message in check_events(map(vars, t.events), t.site)]
 
 
 def dump_trace(t: Trace) -> str:

@@ -1,3 +1,4 @@
+import io
 import json
 import subprocess
 import sys
@@ -5,8 +6,10 @@ import sys
 import pytest
 from click.testing import CliRunner
 
-from linkscrub.cli import main
+from linkscrub import features
+from linkscrub.cli import main, run
 from linkscrub.trace import write_trace
+from test_trace import HEADER, MALFORMED
 
 
 @pytest.fixture(scope="module")
@@ -197,3 +200,80 @@ def test_unparseable_request_url_is_reported(command, tb, tmp_path):
     result = CliRunner().invoke(main, [command, str(trace)])
     assert result.exit_code == 0, result.output
     assert "warning: unparseable request URL 'notaurl'" in result.stderr
+
+
+def _matrix(*rows):
+    buf = io.StringIO()
+    features.write_feature_matrix([], buf)
+    return buf.getvalue() + "".join(row + "\n" for row in rows)
+
+
+_ROW = "t,n,s.example,t.example,uid,query," + ",".join(
+    ["0"] * len(features.FEATURE_NAMES))
+_LABELS = "site,fqdn,key,label,provenance\n"
+_SPLIT = {"counts": [1, 1], "f": 50, "t": 0.5,
+          "left": {"counts": [1, 0]}, "right": {"counts": [0, 1]}}
+
+
+def _model(trees, names=features.FEATURE_NAMES, config=None):
+    return json.dumps({"format": 1, "trees": trees, "feature_names": names,
+                       "feature_version": features.FEATURE_VERSION,
+                       "config": config or {}})
+
+
+_TRAIN = ["train", "--matrix", "m.csv", "--labels", "l.csv", "-o", "x.json"]
+_PREDICT = ["predict", "--model", "model.json", "--matrix", "m.csv"]
+# files to write, command line, and what the error line must contain
+MALFORMED_INPUTS = {
+    "matrix header": ({"m.csv": "a,b\n", "l.csv": _LABELS}, _TRAIN,
+                      "line 1: feature matrix header"),
+    "empty matrix": ({"m.csv": "", "l.csv": _LABELS}, _TRAIN, "line 1:"),
+    "non-numeric cell": ({"m.csv": _matrix(_ROW[:-1] + "x"),
+                          "l.csv": _LABELS}, _TRAIN, "line 2:"),
+    "short matrix row": ({"m.csv": _matrix(_ROW, _ROW[:-2]),
+                          "l.csv": _LABELS}, _TRAIN, "line 3: expected"),
+    "label row of 4 fields": ({"m.csv": _matrix(),
+                               "l.csv": _LABELS + "s,f,k,ATS\n"}, _TRAIN,
+                              "line 2: expected 5 fields"),
+    "model not JSON": ({"model.json": "{nope", "m.csv": _matrix()}, _PREDICT,
+                       "model is not JSON"),
+    "model without trees": ({"model.json": '{"format": 1}',
+                             "m.csv": _matrix()}, _PREDICT, "'trees'"),
+    "model with no trees": ({"model.json": _model([]),
+                             "m.csv": _matrix(_ROW)}, _PREDICT, "no trees"),
+    "model config with unknown key": (
+        {"model.json": _model([{"counts": [1, 1]}], config={"depth": 3}),
+         "m.csv": _matrix(_ROW)}, _PREDICT, "'config'"),
+    "model node without counts": ({"model.json": _model([{}]),
+                                   "m.csv": _matrix(_ROW)}, _PREDICT,
+                                  "model tree 0"),
+    "model of other features": (
+        {"model.json": _model([_SPLIT], ["f"] * 51), "m.csv": _matrix(_ROW)},
+        _PREDICT, "feature names"),
+}
+for _name, (_events, _code) in MALFORMED.items():
+    MALFORMED_INPUTS[f"trace with {_name}"] = (
+        {"t.jsonl": "\n".join([HEADER] + [json.dumps(ev) for ev in _events])},
+        ["features", "t.jsonl"], f"line {len(_events) + 1}:")
+MALFORMED_INPUTS["trace with list header"] = (
+    {"t.jsonl": "[1]\n"}, ["features", "t.jsonl"], "line 1:")
+MALFORMED_INPUTS["trace not UTF-8"] = (
+    {"t.jsonl": b'{"format": 1}\n\xff\n'}, ["features", "t.jsonl"],
+    "can't decode byte 0xff")
+
+
+@pytest.mark.parametrize("files,argv,expected", MALFORMED_INPUTS.values(),
+                         ids=MALFORMED_INPUTS)
+def test_malformed_input_exits_1_without_traceback(
+        files, argv, expected, tmp_path, monkeypatch, capsys):
+    for name, content in files.items():
+        (tmp_path / name).write_bytes(
+            content if isinstance(content, bytes) else content.encode())
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "argv", ["linkscrub", *argv])
+    with pytest.raises(SystemExit) as exc:
+        run()
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and expected in err, err
+    assert "Traceback" not in err

@@ -177,6 +177,15 @@ def test_feature_order_fixed():
     assert tuple(fv.keys()) == FEATURE_NAMES
 
 
+def test_element_that_creates_itself_ends_the_parent_script_walk(tb):
+    t = (tb.add("element_create", actor="img1", element_id="img1")
+         .add("element_request", actor="img1", request_id="r1",
+              url="https://t.example/p?uid=abcdefgh12345678")
+         .build())
+    [(_node, fv)] = features_for_graph(build_full_graph(t))
+    assert fv["descendant_of_script"] == 0.0
+
+
 def test_extract_rejects_non_decoration_nodes():
     g = hand_graph()
     with pytest.raises(ValueError):

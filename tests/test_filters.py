@@ -91,7 +91,7 @@ def test_export_adblock_query_rules():
         filters.FilterRule("*", "*", "fbclid"),
     ]
     out = filters.export_adblock(rules)
-    assert "$removeparam=gclid,domain=tracker.example" in out
+    assert "||tracker.example^$removeparam=gclid\n" in out
     assert "$removeparam=fbclid\n" in out
 
 
@@ -107,7 +107,18 @@ def test_export_adblock_sidecar_for_path_and_fragment():
     sidecar = [line for line in out.splitlines()
                if line.startswith("! unsupported:")]
     assert len(sidecar) == 2
-    assert "$removeparam=uid,domain=t.example" in out
+    assert "||t.example^$removeparam=uid\n" in out
+
+
+@pytest.mark.parametrize("scope,fqdn,line", [
+    ("site0001.example", "a.trk0.example",
+     "||a.trk0.example^$removeparam=uid,domain=site0001.example"),
+    ("*", "*.trk0.example", "||trk0.example^$removeparam=uid"),
+    ("site0001.example", "*", "$removeparam=uid,domain=site0001.example"),
+])
+def test_export_adblock_anchors_host_and_scopes_site(scope, fqdn, line):
+    out = filters.export_adblock([filters.FilterRule(scope, fqdn, "uid")])
+    assert out == line + "\n"
 
 
 def test_export_adblock_empty():

@@ -2,10 +2,13 @@ import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from linkscrub.errors import TraceParseError
-from linkscrub.trace import (FORMAT_VERSION, dump_trace, parse_trace,
-                             validate_trace)
+from linkscrub.features import features_for_graph
+from linkscrub.graph import build_full_graph
+from linkscrub.trace import (FORMAT_VERSION, Trace, TraceEvent, dump_trace,
+                             parse_trace, validate_trace)
 
 HEADER = json.dumps({"format": FORMAT_VERSION})
 
@@ -119,9 +122,157 @@ def test_validate_reports_empty_storage_key(tb):
     assert "empty-storage-key" in codes
 
 
+def test_validate_reports_missing_required_field(tb):
+    t = tb.add("request", url="https://t.example/").build()
+    assert [f.code for f in validate_trace(t)] == ["missing-field"]
+
+
 def test_validate_clean_trace(tb):
     t = (tb.script("s1")
          .request("s1", "r1", "https://t.example/x")
          .response("r1")
          .build())
     assert validate_trace(t) == []
+
+
+# one bad event last in each trace, and the finding code it must produce
+MALFORMED = {
+    "integer url": (
+        [_event(1, "request", request_id="r1", url=42)], "bad-type"),
+    "seq true": (
+        [{**_event(1, "script_load", script_id="a"), "seq": True}],
+        "bad-type"),
+    "integer site": (
+        [{**_event(1, "script_load", script_id="a"), "site": 7}], "bad-type"),
+    "non-string storage value": (
+        [_event(1, "storage_set", store="cookie", key="k", value=5)],
+        "bad-type"),
+    "list payload": (
+        [{**_event(1, "script_load"), "payload": ["a"]}], "bad-type"),
+    "dict request_id": (
+        [_event(1, "request", request_id={"a": 1}, url="https://t.example/")],
+        "bad-type"),
+    "empty storage key": (
+        [_event(1, "storage_set", store="cookie", key="", value="v")],
+        "empty-storage-key"),
+    "non-object set_storage entry": (
+        [_event(1, "request", request_id="r1", url="https://t.example/"),
+         _event(2, "response", request_id="r1", set_storage=["uid=1"])],
+        "bad-type"),
+    "lone surrogate in url": (
+        [_event(1, "request", request_id="r1",
+                url="https://t.example/?\udc80=1")], "bad-type"),
+}
+
+
+@pytest.mark.parametrize("events,code", MALFORMED.values(), ids=MALFORMED)
+def test_malformed_event_refused_by_parse_and_validate(events, code):
+    with pytest.raises(TraceParseError) as exc:
+        parse_trace(_lines(*events))
+    assert exc.value.line_no == len(events) + 1
+    t = Trace(site="s.example", page_url="https://w.s.example/",
+              events=tuple(TraceEvent(**ev) for ev in events))
+    findings = validate_trace(t)
+    assert code in {f.code for f in findings}
+    assert all(f.seqs == (events[-1]["seq"],) for f in findings)
+
+
+@pytest.mark.parametrize("lines,line_no", [
+    (["[1]"], 1),
+    ([HEADER, "7"], 2),
+], ids=["list header", "number event"])
+def test_line_that_is_not_an_object_rejected(lines, line_no):
+    with pytest.raises(TraceParseError) as exc:
+        parse_trace(lines)
+    assert exc.value.line_no == line_no
+
+
+# -- properties: every JSON-lines input parses or is refused, and what parses
+# is valid and safe for the graph and feature stages
+
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6)
+_ID = "abcdefgh12345678"
+_ids = st.sampled_from(["r1", "r2", "r3"])
+_text = st.sampled_from(["", "short", _ID, f"uid={_ID}"]) | st.text(max_size=8)
+_url = st.sampled_from([
+    f"https://t.example/{_ID}/p?uid={_ID}&x#k={_ID}", "notaurl", "https://",
+    "https://a.example:8/?", "https://a.example/%zz?&=#", f"https://t.example"
+    f"/?{_ID}"]) | st.text(max_size=10).map(lambda s: "https://t.example/" + s)
+_storage = st.fixed_dictionaries(
+    {"store": st.sampled_from(["cookie", "localStorage"]),
+     "key": st.sampled_from(["uid", "k"])},
+    optional={"value": st.just(_ID) | _text})
+_script = st.fixed_dictionaries({}, optional={
+    "script_id": st.sampled_from(["s1", "s2"]), "url": _url,
+    "length": st.integers(0, 2 ** 53 - 1)})
+_request = st.fixed_dictionaries({"url": _url, "request_id": _ids})
+_PAYLOADS = {
+    "script_load": _script,
+    "eval_script": _script,
+    "storage_set": _storage,
+    "storage_get": _storage,
+    "request": _request,
+    "element_request": _request,
+    "response": st.fixed_dictionaries({"request_id": _ids}, optional={
+        "status": st.integers(0, 599), "payload": _text,
+        "set_storage": st.lists(_storage, max_size=2)}),
+    "redirect": st.fixed_dictionaries(
+        {"from_request_id": _ids, "request_id": _ids, "to_url": _url}),
+    "element_create": st.fixed_dictionaries(
+        {"element_id": st.just("img1")}, optional={"tag": st.just("img")}),
+}
+_KINDS = sorted(_PAYLOADS) + ["request", "storage_set"] * 2
+_REFERENCE = {"response": "request_id", "redirect": "from_request_id"}
+
+
+@st.composite
+def _near_valid_lines(draw):
+    """A header and well-formed events that reference only declared request
+    ids; in half of the traces one field of one event is dropped or replaced
+    by any JSON value."""
+    n = draw(st.integers(0, 12))
+    broken = draw(st.integers(1, max(n, 1)) | st.none())
+    lines, declared = [HEADER], []
+    for seq in range(1, n + 1):
+        kind = draw(st.sampled_from(
+            [k for k in _KINDS if declared or k not in _REFERENCE]))
+        ev = _event(seq, kind, **draw(_PAYLOADS[kind]))
+        p = ev["payload"]
+        if kind in _REFERENCE:
+            p[_REFERENCE[kind]] = draw(st.sampled_from(declared))
+        if kind in ("request", "element_request", "redirect"):
+            declared.append(p["request_id"])
+        ev["actor"] = draw(st.sampled_from(["document", "s1", "img1"]))
+        if seq == broken:
+            target = draw(st.sampled_from([ev, p]))
+            field = draw(st.sampled_from(sorted(target) + ["set_storage"]))
+            if draw(st.booleans()):
+                target.pop(field, None)
+            else:
+                target[field] = draw(_json)
+        lines.append(json.dumps(ev))
+    return lines
+
+
+@settings(max_examples=300, deadline=None)
+@given(_near_valid_lines() | st.lists(_json.map(json.dumps), max_size=4))
+def test_any_json_lines_parse_or_raise_trace_parse_error(lines):
+    try:
+        parse_trace(lines)
+    except TraceParseError:
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(_near_valid_lines())
+def test_traces_that_parse_are_valid_and_safe_downstream(lines):
+    try:
+        t = parse_trace(lines)
+    except TraceParseError:
+        return
+    assert validate_trace(t) == []
+    features_for_graph(build_full_graph(t))
