@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from collections import Counter, deque
+from itertools import chain, repeat
 from typing import IO, Iterable, Optional
 
 import numpy as np
@@ -107,14 +108,71 @@ def shannon_entropy(s: str) -> float:
     return -sum((c / n) * math.log2(c / n) for c in counts.values())
 
 
+# sources per batch of the multi-source BFS, a multiple of 64; bounds its
+# buffers to nodes x block bits whatever the number of decorations
+_BFS_BLOCK = 256
+
+
+def _level_counts(indptr: np.ndarray, indices: np.ndarray,
+                  sources: list[int]) -> list[list[int]]:
+    """For each source, how many nodes lie at distance 1, 2, ... up to its
+    eccentricity, in the undirected graph with CSR adjacency (indptr,
+    indices).
+
+    Level-synchronous BFS from a block of sources at once: bit j of a node's
+    row says whether source j has reached it, and one level ORs the rows of
+    each node's neighbours. Bitwise operations on the uint64 view act on
+    the packed bytes alike, whatever the byte order.
+    """
+    n = len(indptr) - 1
+    linked = np.flatnonzero(np.diff(indptr))
+    starts = indptr[linked]
+    out = []
+    for lo in range(0, len(sources), _BFS_BLOCK):
+        block = sources[lo:lo + _BFS_BLOCK]
+        width = -(-len(block) // 64) * 64
+        start = np.zeros((n, width), dtype=bool)
+        start[block, np.arange(len(block))] = True
+        seen = np.packbits(start, axis=1, bitorder="little").view(np.uint64)
+        frontier = seen
+        levels = []
+        while True:
+            reached = np.zeros_like(seen)
+            reached[linked] = np.bitwise_or.reduceat(
+                frontier[indices], starts, axis=0)
+            reached &= ~seen
+            if not reached.any():
+                break
+            levels.append(np.unpackbits(
+                reached.view(np.uint8), axis=1,
+                bitorder="little").sum(axis=0)[:len(block)])
+            seen = seen | reached
+            frontier = reached
+        per_source = np.array(levels, dtype=np.int64).reshape(
+            len(levels), len(block)).T.tolist()
+        # a source's levels are non-empty up to its eccentricity, then empty
+        out.extend(c[:len(c) - c.count(0)] for c in per_source)
+    return out
+
+
 class ViewMetrics:
     """Structural metrics over one view (node list + edge list) of a graph.
 
     Multi-edges count toward degrees and edge counts; shortest paths use the
     simple undirected projection. Components are discovered lazily.
+
+    Closeness and eccentricity need, per node, how many nodes lie at each
+    distance. The first ``metrics`` call gets them for every decoration of
+    the view from one multi-source BFS (``_level_counts``) over CSR
+    adjacency: O(eccentricity x (edges + nodes) x decorations / block)
+    vectorised steps, instead of one Python BFS per decoration. Any other
+    node gets a BFS of its own when asked. Closeness adds 1/d once per node
+    at distance d, in ascending d: the terms, and their order, of a sum over
+    a per-node BFS, so Python's ``sum`` gives the same float.
     """
 
     def __init__(self, nodes, edges):
+        nodes = list(nodes)
         self.node_ids = {n.id for n in nodes}
         self.edges = list(edges)
         self.adj: dict[str, set] = {nid: set() for nid in self.node_ids}
@@ -130,6 +188,8 @@ class ViewMetrics:
             self.multi_degree[e.dst] += 1
         self._component_of: dict[str, frozenset] = {}
         self._component_edges: dict[frozenset, int] = {}
+        self._decorations = [n.id for n in nodes if n.kind == DECORATION]
+        self._levels: dict[str, list[int]] = {}
 
     def __contains__(self, node_id: str) -> bool:
         return node_id in self.node_ids
@@ -158,16 +218,22 @@ class ViewMetrics:
             self._component_edges[comp] = cached
         return cached
 
-    def distances(self, node_id: str) -> dict[str, int]:
-        dist = {node_id: 0}
-        queue = deque([node_id])
-        while queue:
-            cur = queue.popleft()
-            for nxt in self.adj[cur]:
-                if nxt not in dist:
-                    dist[nxt] = dist[cur] + 1
-                    queue.append(nxt)
-        return dist
+    def level_counts(self, node_id: str) -> list[int]:
+        """How many nodes lie at distance 1, 2, ... from ``node_id``."""
+        if node_id not in self._levels:
+            sources = [node_id]
+            if not self._levels:
+                sources += [d for d in self._decorations if d != node_id]
+            order = list(self.adj)
+            position = {nid: i for i, nid in enumerate(order)}
+            indptr = np.zeros(len(order) + 1, dtype=np.intp)
+            np.cumsum([len(self.adj[nid]) for nid in order], out=indptr[1:])
+            indices = np.fromiter(
+                (position[m] for nid in order for m in self.adj[nid]),
+                dtype=np.intp, count=int(indptr[-1]))
+            self._levels.update(zip(sources, _level_counts(
+                indptr, indices, [position[s] for s in sources])))
+        return self._levels[node_id]
 
     def metrics(self, node_id: str, prefix: str = "") -> dict[str, float]:
         if node_id not in self.node_ids:
@@ -185,11 +251,12 @@ class ViewMetrics:
         comp = self.component(node_id)
         n_nodes = len(comp)
         n_edges = self.component_edge_count(comp)
-        dist = self.distances(node_id)
+        levels = self.level_counts(node_id)
         if n_nodes > 1:
-            closeness = sum(1.0 / d for d in dist.values() if d > 0)
+            closeness = sum(chain.from_iterable(
+                repeat(1.0 / d, count) for d, count in enumerate(levels, 1)))
             closeness /= (n_nodes - 1)
-            eccentricity = float(max(dist.values()))
+            eccentricity = float(len(levels))
         else:
             closeness = 0.0
             eccentricity = 0.0
@@ -475,23 +542,27 @@ def write_feature_matrix(rows: Iterable[dict], fh: IO[str]) -> None:
 def read_feature_matrix(fh: IO[str]):
     """Returns (meta_rows, X) and validates the feature-name version."""
     reader = csv.reader(fh)
-    header = next(reader, None)
-    expected = list(_META_COLUMNS) + [_versioned(n) for n in FEATURE_NAMES]
-    if header != expected:
-        raise InputError(
-            "line 1: feature matrix header does not match feature version "
-            f"{FEATURE_VERSION}")
-    meta = []
-    data = []
-    for row in reader:
-        if len(row) != len(expected):
-            raise InputError(f"line {reader.line_num}: expected "
-                             f"{len(expected)} fields, got {len(row)}")
-        try:
-            data.append([float(v) for v in row[len(_META_COLUMNS):]])
-        except ValueError as exc:
-            raise InputError(f"line {reader.line_num}: {exc}") from exc
-        meta.append(dict(zip(_META_COLUMNS, row[:len(_META_COLUMNS)])))
+    try:
+        header = next(reader, None)
+        expected = list(_META_COLUMNS) + [_versioned(n)
+                                          for n in FEATURE_NAMES]
+        if header != expected:
+            raise InputError(
+                "line 1: feature matrix header does not match feature "
+                f"version {FEATURE_VERSION}")
+        meta = []
+        data = []
+        for row in reader:
+            if len(row) != len(expected):
+                raise InputError(f"line {reader.line_num}: expected "
+                                 f"{len(expected)} fields, got {len(row)}")
+            try:
+                data.append([float(v) for v in row[len(_META_COLUMNS):]])
+            except ValueError as exc:
+                raise InputError(f"line {reader.line_num}: {exc}") from exc
+            meta.append(dict(zip(_META_COLUMNS, row[:len(_META_COLUMNS)])))
+    except csv.Error as exc:
+        raise InputError(f"line {reader.line_num}: {exc}") from exc
     X = np.array(data, dtype=np.float64) if data else \
         np.empty((0, len(FEATURE_NAMES)))
     return meta, X

@@ -104,14 +104,16 @@ def export_adblock(rules: Iterable[FilterRule],
     The request host becomes the ``||host^`` anchor, which also covers the
     host's subdomains, so ``*.suffix`` becomes ``||suffix^`` and ``*`` has no
     anchor. The site scope becomes ``domain=``, which restricts the page a
-    request is sent from; scope ``*`` has none. Path and fragment rules
-    cannot be expressed in the adblock dialect; they are emitted to a
-    commented sidecar section (one warning per rule).
+    request is sent from; scope ``*`` has none. Path and fragment rules, and
+    keys holding ``,`` or ``$`` (which the dialect reads as option
+    separators), cannot be expressed in the adblock dialect; they are
+    emitted to a commented sidecar section (one warning per rule).
     """
     lines = []
     sidecar = []
     for r in rules:
-        if r.key.startswith("path|") or r.key == "fragment":
+        if (r.key.startswith("path|") or r.key == "fragment"
+                or "," in r.key or "$" in r.key):
             sidecar.append(f"! unsupported: {r.scope}\t{r.fqdn}\t{r.key}")
             if warnings is not None:
                 warnings.append(

@@ -253,14 +253,22 @@ def encode_candidates(value: str) -> set[tuple[str, str]]:
     }
 
 
-def _match_encoding(candidates, haystacks: list[str]):
+class EncodedValues(dict):
+    """value -> {encoding: form} of ``encode_candidates``, each distinct value
+    encoded once, on its first lookup."""
+
+    def __missing__(self, value: str) -> dict[str, str]:
+        forms = self[value] = dict(encode_candidates(value))
+        return forms
+
+
+def _match_encoding(forms: dict[str, str], haystacks: list[str]):
     """First matching (encoding, span) in priority order, else None.
 
     Hex digests match case-insensitively; plain and base64 are case-sensitive.
     """
-    by_encoding = dict(candidates)
     for encoding in ENCODINGS:
-        needle = by_encoding[encoding]
+        needle = forms[encoding]
         for hay in haystacks:
             if encoding in HEX_ENCODINGS:
                 pos = hay.lower().find(needle)
@@ -271,12 +279,11 @@ def _match_encoding(candidates, haystacks: list[str]):
     return None
 
 
-def _match_containment(candidates, fragments: list[str]):
+def _match_containment(forms: dict[str, str], fragments: list[str]):
     """Reverse direction: a decoration value occurring inside an encoded form
     of the storage value (how split identifier chunks are still caught)."""
-    by_encoding = dict(candidates)
     for encoding in ENCODINGS:
-        form = by_encoding[encoding]
+        form = forms[encoding]
         lowered = form.lower() if encoding in HEX_ENCODINGS else form
         for frag in fragments:
             if not frag:
@@ -288,14 +295,30 @@ def _match_containment(candidates, fragments: list[str]):
     return None
 
 
-def _storage_values_before(node: Node, seq: int) -> list[str]:
-    values = []
-    for attr in ("writes", "reads"):
-        for ev_seq, value in node.attrs.get(attr, []):
-            if ev_seq < seq and value:
-                values.append(value)
-    # deterministic order, de-duplicated
-    return sorted(set(values))
+# k of the k-gram indexes that find exfiltration candidates
+KGRAM = DEFAULT_MIN_VALUE_LEN
+
+
+def _kgram_index(strings_per_item) -> dict[str, list[int]]:
+    """k-gram -> indexes of the items with a string that contains it."""
+    index: dict[str, list[int]] = {}
+    for item, strings in enumerate(strings_per_item):
+        grams = {s[i:i + KGRAM] for s in strings
+                 for i in range(len(s) - KGRAM + 1)}
+        for gram in grams:
+            index.setdefault(gram, []).append(item)
+    return index
+
+
+def _lookup(index: dict[str, list[int]], needles, everything: range):
+    """Items whose strings may contain one of ``needles``. A needle shorter
+    than a k-gram cannot be looked up, so it may be in any item."""
+    found: set[int] = set()
+    for needle in needles:
+        if len(needle) < KGRAM:
+            return everything
+        found.update(index.get(needle[:KGRAM], ()))
+    return found
 
 
 def detect_exfiltration(g: PageGraph,
@@ -310,31 +333,79 @@ def detect_exfiltration(g: PageGraph,
     identifiers split into chunks detectable. ``min_len`` drops short storage
     values and, in the reverse direction, short decoration values (default 8;
     pass 0 to disable the pre-processing for evasion studies).
+
+    Candidate (value, decoration) pairs come from two k-gram indexes
+    (k = ``KGRAM``) instead of a test of every pair. Forward: each encoded
+    form's first k characters are looked up among the k-grams of the
+    decorations' haystacks, decoded, raw and lowercased. Reverse: each
+    decoration value's first k characters, as is and lowercased, are looked
+    up among the k-grams of the encoded forms. A string shorter than k
+    cannot be looked up, so a value or decoration with one (possible only
+    when ``min_len`` < k) is paired with every decoration or value, as a scan
+    would. Each distinct value is encoded once, and ``_match_encoding`` /
+    ``_match_containment`` confirm each candidate, so the encoding priority
+    and the evidence span are those of a full scan; edges are added in the
+    scan's order (request, storage node, value, decoration). The cost grows
+    with the haystacks' and forms' lengths and the candidates, not with
+    stored values x decorations.
     """
+    requests = {req.id: (i, req.attrs.get("seq", 0))
+                for i, req in enumerate(g.request_nodes())}
+    decorations = [dec for dec in g.decoration_nodes()
+                   if dec.attrs["request"] in requests]
+    # value -> {storage node index: seq of its first write or read}; a value
+    # precedes a request's seq at a node iff its first seq there does
+    first_seq: dict[str, dict[int, int]] = {}
     storage_nodes = g.nodes_of_kind(STORAGE)
-    children_by_request: dict[str, list[Node]] = {}
-    for dec in g.decoration_nodes():
-        children_by_request.setdefault(dec.attrs["request"], []).append(dec)
-    for req in g.request_nodes():
-        seq = req.attrs.get("seq", 0)
-        children = children_by_request.get(req.id, [])
-        if not children:
+    for si, snode in enumerate(storage_nodes):
+        for attr in ("writes", "reads"):
+            for ev_seq, value in snode.attrs.get(attr, []):
+                if value and len(value) >= min_len:
+                    held = first_seq.setdefault(value, {})
+                    held[si] = min(ev_seq, held.get(si, ev_seq))
+    values = sorted(first_seq) if decorations else []
+    encoded = EncodedValues()
+    haystacks = []
+    for dec in decorations:
+        hays = [dec.attrs["value"]]
+        if dec.attrs.get("raw_value") != dec.attrs["value"]:
+            hays.append(dec.attrs["raw_value"])
+        haystacks.append(hays)
+
+    candidates: set[tuple[int, int]] = set()
+    if values:
+        forward = _kgram_index(
+            [h for hay in hays for h in (hay, hay.lower())]
+            for hays in haystacks)
+        all_decorations = range(len(decorations))
+        for vi, value in enumerate(values):
+            candidates.update((vi, di) for di in _lookup(
+                forward, encoded[value].values(), all_decorations))
+        reverse = _kgram_index(encoded[v].values() for v in values)
+        all_values = range(len(values))
+        for di, dec in enumerate(decorations):
+            if len(dec.attrs["value"]) >= min_len:
+                needles = [n for hay in haystacks[di] if hay
+                           for n in (hay, hay.lower())]
+                candidates.update((vi, di) for vi in _lookup(
+                    reverse, needles, all_values))
+
+    hits = []
+    for vi, di in candidates:
+        value, dec = values[vi], decorations[di]
+        forms = encoded[value]
+        hit = _match_encoding(forms, haystacks[di])
+        if hit is None and len(dec.attrs["value"]) >= min_len:
+            hit = _match_containment(forms, haystacks[di])
+        if hit is None:
             continue
-        for snode in storage_nodes:
-            for value in _storage_values_before(snode, seq):
-                if len(value) < min_len:
-                    continue
-                candidates = encode_candidates(value)
-                for dec in children:
-                    haystacks = [dec.attrs["value"]]
-                    if dec.attrs.get("raw_value") != dec.attrs["value"]:
-                        haystacks.append(dec.attrs["raw_value"])
-                    hit = _match_encoding(candidates, haystacks)
-                    if hit is None and len(dec.attrs["value"]) >= min_len:
-                        hit = _match_containment(candidates, haystacks)
-                    if hit is not None:
-                        g.add_edge(snode.id, dec.id, EXFILTRATION,
-                                   evidence=hit)
+        ri, req_seq = requests[dec.attrs["request"]]
+        for si, seq in first_seq[value].items():
+            if seq < req_seq:
+                hits.append(((ri, si, vi, di), storage_nodes[si].id, hit))
+    hits.sort(key=lambda h: h[0])
+    for (_ri, _si, _vi, di), storage_id, hit in hits:
+        g.add_edge(storage_id, decorations[di].id, EXFILTRATION, evidence=hit)
     # keep at most one edge per (storage, decoration) pair
     seen = set()
     deduped = []
@@ -358,6 +429,7 @@ def detect_infiltration(g: PageGraph) -> PageGraph:
     """
     responses = [n for n in g.nodes_of_kind(NETWORK)
                  if n.attrs.get("direction") == "response"]
+    encoded = EncodedValues()
     added = set()
 
     def add(resp_id: str, storage_id: str, evidence) -> None:
@@ -381,7 +453,7 @@ def detect_infiltration(g: PageGraph) -> PageGraph:
         for seq, storage_id, value, _actor in g.storage_writes:
             if seq <= resp_seq or not value:
                 continue
-            hit = _match_encoding(encode_candidates(value), [payload])
+            hit = _match_encoding(encoded[value], [payload])
             if hit is not None:
                 add(resp.id, storage_id, hit)
 

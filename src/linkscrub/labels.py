@@ -221,18 +221,22 @@ def write_labels(labeled: Iterable[LabeledDecoration], fh: IO[str]) -> None:
 
 def read_labels(fh: IO[str]) -> list[LabeledDecoration]:
     reader = csv.reader(fh)
-    header = next(reader, None)
-    if header != _LABEL_COLUMNS:
-        raise RuleLoadError("bad label file header", str(header))
-    out = []
-    for row in reader:
-        if not row:
-            continue
-        if len(row) != len(_LABEL_COLUMNS):
-            raise InputError(f"line {reader.line_num}: expected "
-                             f"{len(_LABEL_COLUMNS)} fields, got {len(row)}")
-        site, fqdn, key, label, prov = row
-        out.append(LabeledDecoration(
-            DecorationId(site, fqdn, key), label,
-            tuple(p for p in prov.split(";") if p)))
+    try:
+        header = next(reader, None)
+        if header != _LABEL_COLUMNS:
+            raise RuleLoadError("bad label file header", str(header))
+        out = []
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(_LABEL_COLUMNS):
+                raise InputError(
+                    f"line {reader.line_num}: expected "
+                    f"{len(_LABEL_COLUMNS)} fields, got {len(row)}")
+            site, fqdn, key, label, prov = row
+            out.append(LabeledDecoration(
+                DecorationId(site, fqdn, key), label,
+                tuple(p for p in prov.split(";") if p)))
+    except csv.Error as exc:
+        raise InputError(f"line {reader.line_num}: {exc}") from exc
     return out

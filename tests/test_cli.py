@@ -235,6 +235,13 @@ MALFORMED_INPUTS = {
     "label row of 4 fields": ({"m.csv": _matrix(),
                                "l.csv": _LABELS + "s,f,k,ATS\n"}, _TRAIN,
                               "line 2: expected 5 fields"),
+    "label field over the csv limit": (
+        {"m.csv": _matrix(),
+         "l.csv": _LABELS + "s," + "x" * 200_000 + ",k,ATS,p\n"},
+        _TRAIN, "line 2: field larger than field limit"),
+    "matrix field over the csv limit": (
+        {"m.csv": _matrix("x" * 200_000), "l.csv": _LABELS}, _TRAIN,
+        "line 2: field larger than field limit"),
     "model not JSON": ({"model.json": "{nope", "m.csv": _matrix()}, _PREDICT,
                        "model is not JSON"),
     "model without trees": ({"model.json": '{"format": 1}',

@@ -110,6 +110,16 @@ def test_export_adblock_sidecar_for_path_and_fragment():
     assert "||t.example^$removeparam=uid\n" in out
 
 
+@pytest.mark.parametrize("key", ["a,b$x", "a,b", "x$y"])
+def test_export_adblock_sidecar_for_keys_with_option_separators(key):
+    warnings = []
+    out = filters.export_adblock(
+        [filters.FilterRule("*", "t.example", key)], warnings)
+    assert out == ("! --- rules outside the removeparam dialect ---\n"
+                   f"! unsupported: *\tt.example\t{key}\n")
+    assert warnings == [f"rule t.example|{key} not expressible as removeparam"]
+
+
 @pytest.mark.parametrize("scope,fqdn,line", [
     ("site0001.example", "a.trk0.example",
      "||a.trk0.example^$removeparam=uid,domain=site0001.example"),
