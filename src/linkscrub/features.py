@@ -2,6 +2,13 @@
 view, content features, and flow features including a second copy of the
 structural metrics over the shared-information (flow) view.
 
+The 18 ``REQUEST_LEVEL_FEATURES`` (the decoration's ancestry, its request's
+parent script and that script's storage and requests, the redirect chain
+and the request's infiltrations) depend only on the decoration's request.
+They are computed once per request and shared by its decorations; the other
+25 (both views' metrics, depth, entropy, URL section, and the exfiltrated
+storage and its setters) once per decoration.
+
 The feature name list is fixed and versioned; the matrix file writer embeds
 the version in every feature column header.
 """
@@ -10,15 +17,14 @@ from __future__ import annotations
 
 import csv
 import math
-from collections import Counter, deque
+from collections import Counter, defaultdict, deque
 from itertools import chain, repeat
-from typing import IO, Iterable, Optional
+from typing import IO, Callable, Iterable, Optional
 
 import numpy as np
 
 from .errors import InputError
-from .graph import (DECORATION, EXFILTRATION, HTML, INTERACTION, SCRIPT,
-                    PageGraph)
+from .graph import DECORATION, HTML, INTERACTION, SCRIPT, PageGraph
 
 FEATURE_VERSION = "1"
 
@@ -278,114 +284,136 @@ class ViewMetrics:
         }
 
 
-_ANCESTRY_SUBKINDS = frozenset({"splits", "initiates", "creates", "redirects"})
+_ANCESTRY_LABELS = ("splits", "initiates", "creates", "redirects")
+_SECTIONS = ("path", "query", "fragment")
+
+
+def _ancestors(node_id: str, parents: Callable[[str], Iterable[str]]) -> set:
+    """Every node with a path to ``node_id``; ``parents`` lists a node's
+    direct predecessors."""
+    seen: set = set()
+    stack = [node_id]
+    while stack:
+        for parent in parents(stack.pop()):
+            if parent not in seen:
+                seen.add(parent)
+                stack.append(parent)
+    return seen
 
 
 class _GraphIndex:
-    """Shared lookups used when extracting features for many decorations."""
+    """Lookups shared by the feature vectors of one graph.
+
+    ``out[label][node]`` lists the far ends of the node's outgoing edges
+    with that label, in edge order, and ``into[label][node]`` those of its
+    incoming edges. The label is an interaction edge's sub-kind or a flow
+    edge's kind. ``requests`` holds each request's block of
+    ``REQUEST_LEVEL_FEATURES`` once it has been computed.
+    """
 
     def __init__(self, g: PageGraph):
         self.g = g
         self.interaction = ViewMetrics(g.nodes.values(), g.edges)
         flow_nodes, flow_edges = g.flow_view()
         self.flow = ViewMetrics(flow_nodes, flow_edges)
-        self.ancestry_rev: dict[str, list[str]] = {}
-        self.flow_rev: dict[str, list[str]] = {}
-        self.initiates_out: dict[str, list[str]] = {}
-        self.initiates_in: dict[str, str] = {}
-        self.responds_out: dict[str, list[str]] = {}
-        self.redirect_out: dict[str, list[str]] = {}
-        self.redirect_in: dict[str, list[str]] = {}
-        self.creates_in: dict[str, list[str]] = {}
-        self.storage_by_script: dict[str, set] = {}
-        self.scripts_by_storage: dict[str, set] = {}
-        self.setters_by_storage: dict[str, set] = {}
-        self.exfil_in: dict[str, list] = {}
-        self.exfil_out_count: dict[str, int] = {}
-        self.access_counts: dict[tuple, int] = {}
-        self.children_by_request: dict[str, list] = {}
+        self.out: defaultdict[str, dict[str, list[str]]] = defaultdict(dict)
+        self.into: defaultdict[str, dict[str, list[str]]] = defaultdict(dict)
         for e in g.edges:
-            if e.kind == INTERACTION and e.sub in _ANCESTRY_SUBKINDS:
-                self.ancestry_rev.setdefault(e.dst, []).append(e.src)
-            if e.kind != INTERACTION:
-                self.flow_rev.setdefault(e.dst, []).append(e.src)
-            if e.kind == INTERACTION:
-                if e.sub == "initiates":
-                    self.initiates_out.setdefault(e.src, []).append(e.dst)
-                    self.initiates_in[e.dst] = e.src
-                elif e.sub == "responds":
-                    self.responds_out.setdefault(e.src, []).append(e.dst)
-                elif e.sub == "redirects":
-                    self.redirect_out.setdefault(e.src, []).append(e.dst)
-                    self.redirect_in.setdefault(e.dst, []).append(e.src)
-                elif e.sub == "creates":
-                    self.creates_in.setdefault(e.dst, []).append(e.src)
-                elif e.sub in ("set", "get"):
-                    self.storage_by_script.setdefault(e.src, set()).add(e.dst)
-                    self.scripts_by_storage.setdefault(e.dst, set()).add(e.src)
-                    if e.sub == "set":
-                        self.setters_by_storage.setdefault(e.dst, set()).add(e.src)
-                    store = g.nodes[e.dst].attrs.get("store")
-                    key = (e.src, store, e.sub)
-                    self.access_counts[key] = self.access_counts.get(key, 0) + 1
-            elif e.kind == EXFILTRATION:
-                self.exfil_in.setdefault(e.dst, []).append(e)
-                self.exfil_out_count[e.src] = self.exfil_out_count.get(e.src, 0) + 1
-        for dec in g.decoration_nodes():
-            self.children_by_request.setdefault(
-                dec.attrs["request"], []).append(dec)
-        # flow-view reverse adjacency includes the view's interaction edges
-        self.flow_view_rev: dict[str, list[str]] = {}
+            label = e.sub if e.kind == INTERACTION else e.kind
+            self.out[label].setdefault(e.src, []).append(e.dst)
+            self.into[label].setdefault(e.dst, []).append(e.src)
+        # predecessors in the flow view, which has edges of every label
+        self.flow_parents: dict[str, list[str]] = {}
         for e in flow_edges:
-            self.flow_view_rev.setdefault(e.dst, []).append(e.src)
+            self.flow_parents.setdefault(e.dst, []).append(e.src)
+        self.requests: dict[str, dict[str, float]] = {}
 
-    def ancestors(self, node_id: str, rev: dict) -> set:
-        seen: set = set()
-        stack = list(rev.get(node_id, []))
-        while stack:
-            cur = stack.pop()
-            if cur in seen:
-                continue
-            seen.add(cur)
-            stack.extend(rev.get(cur, []))
-        return seen
+    def ancestry_parents(self, node_id: str) -> list[str]:
+        into = self.into
+        return [src for label in _ANCESTRY_LABELS
+                for src in into[label].get(node_id, ())]
 
     def parent_script(self, request_id: str) -> Optional[str]:
-        initiator = self.initiates_in.get(request_id)
+        """The script behind a request: its initiator, or the script that
+        created the element initiating it."""
+        initiators = self.into["initiates"].get(request_id)
+        initiator = initiators[-1] if initiators else None
         seen = set()
         while initiator is not None and initiator not in seen:
             seen.add(initiator)
-            node = self.g.nodes[initiator]
-            if node.kind == SCRIPT:
+            kind = self.g.nodes[initiator].kind
+            if kind == SCRIPT:
                 return initiator
-            if node.kind == HTML:
-                creators = self.creates_in.get(initiator, [])
-                initiator = creators[0] if creators else None
-                continue
-            return None
+            if kind != HTML:
+                return None
+            creators = self.into["creates"].get(initiator)
+            initiator = creators[0] if creators else None
         return None
 
     def redirect_chain_depth(self, request_id: str) -> int:
         depth = 0
-        cur = request_id
-        seen = set()
-        while cur in self.redirect_in and cur not in seen:
-            seen.add(cur)
-            depth += 1
-            cur = self.redirect_in[cur][0]
-        cur = request_id
-        seen = set()
-        while cur in self.redirect_out and cur not in seen:
-            seen.add(cur)
-            depth += 1
-            cur = self.redirect_out[cur][0]
+        for step in (self.into, self.out):
+            cur = request_id
+            seen = set()
+            while cur in step["redirects"] and cur not in seen:
+                seen.add(cur)
+                depth += 1
+                cur = step["redirects"][cur][0]
         return depth
 
 
+def _request_block(index: _GraphIndex, request_id: str) -> dict[str, float]:
+    """The ``REQUEST_LEVEL_FEATURES`` shared by a request's decorations."""
+    nodes, out, into = index.g.nodes, index.out, index.into
+    # a decoration's one ancestry edge is the splits edge from its request
+    ancestors = {request_id} | _ancestors(request_id, index.ancestry_parents)
+    scripts = [nodes[a] for a in ancestors if nodes[a].kind == SCRIPT]
+    script_urls = " ".join(
+        str(s.attrs.get("url", "")).lower() for s in scripts)
+    parent = index.parent_script(request_id)
+
+    def accesses(store: str, sub: str) -> float:
+        return float(sum(nodes[s].attrs.get("store") == store
+                         for s in out[sub].get(parent, ())))
+
+    sent = out["initiates"].get(parent, [])
+    storage = {s for sub in ("set", "get") for s in out[sub].get(parent, ())}
+    sharers = {script for s in storage for sub in ("set", "get")
+               for script in into[sub].get(s, ())}
+    sharers.discard(parent)
+    return {
+        "ancestor_count": float(len(ancestors)),
+        "ancestor_ad_keyword": float(
+            any(k in script_urls for k in AD_KEYWORDS)),
+        "ancestor_fp_keyword": float(
+            any(k in script_urls for k in FP_KEYWORDS)),
+        "ancestor_script_length": float(max(
+            (s.attrs.get("length", 0) for s in scripts), default=0)),
+        "descendant_of_script": float(bool(scripts)),
+        "parent_is_eval": float(
+            parent is not None and nodes[parent].attrs.get("is_eval", False)),
+        "script_predecessor_count": float(len(scripts)),
+        "parent_ls_sets": accesses("localStorage", "set"),
+        "parent_ls_gets": accesses("localStorage", "get"),
+        "parent_cookie_sets": accesses("cookie", "set"),
+        "parent_cookie_gets": accesses("cookie", "get"),
+        "parent_requests_sent": float(len(sent)),
+        "parent_requests_received": float(sum(
+            len(out["responds"].get(r, ())) for r in sent)),
+        "parent_redirects_sent": float(sum(
+            len(out["redirects"].get(r, ())) for r in sent)),
+        "parent_redirects_received": float(sum(
+            len(into["redirects"].get(r, ())) for r in sent)),
+        "parent_redirect_depth": float(index.redirect_chain_depth(request_id)),
+        "shared_storage_access": float(sum(
+            len(out["initiates"].get(script, ())) for script in sharers)),
+        "parent_infiltrations": float(
+            nodes[request_id].attrs.get("infiltrations", 0)),
+    }
+
+
 def extract_features(g: PageGraph, node_id: str,
-                     index: Optional[_GraphIndex] = None,
-                     ad_keywords=AD_KEYWORDS,
-                     fp_keywords=FP_KEYWORDS) -> dict[str, float]:
+                     index: Optional[_GraphIndex] = None) -> dict[str, float]:
     """Full feature vector for one decoration node. Raises KeyError if the
     node is absent and ValueError if it is not a decoration node."""
     node = g.nodes[node_id]
@@ -393,117 +421,47 @@ def extract_features(g: PageGraph, node_id: str,
         raise ValueError(f"{node_id} is not a decoration node")
     if index is None:
         index = _GraphIndex(g)
+    nodes, out, into = g.nodes, index.out, index.into
 
-    fv: dict[str, float] = {}
-    fv.update(index.interaction.metrics(node_id))
-
+    fv = index.interaction.metrics(node_id)
     request_id = node.attrs["request"]
-    ancestors = index.ancestors(node_id, index.ancestry_rev)
-    ancestor_scripts = [a for a in ancestors if g.nodes[a].kind == SCRIPT]
-    script_urls = " ".join(
-        str(g.nodes[a].attrs.get("url", "")).lower() for a in ancestor_scripts)
-    fv["ancestor_count"] = float(len(ancestors))
-    fv["ancestor_ad_keyword"] = float(
-        any(k in script_urls for k in ad_keywords))
-    fv["ancestor_fp_keyword"] = float(
-        any(k in script_urls for k in fp_keywords))
-    fv["ancestor_script_length"] = float(max(
-        (g.nodes[a].attrs.get("length", 0) for a in ancestor_scripts),
-        default=0))
-    fv["descendant_of_script"] = float(bool(ancestor_scripts))
-    parent = index.parent_script(request_id)
-    fv["parent_is_eval"] = float(
-        parent is not None and g.nodes[parent].attrs.get("is_eval", False))
-    fv["script_predecessor_count"] = float(len(ancestor_scripts))
+    block = index.requests.get(request_id)
+    if block is None:
+        block = index.requests[request_id] = _request_block(index, request_id)
+    fv.update(block)
 
-    kind = node.attrs["kind"]
-    position = node.attrs["position"]
-    siblings = index.children_by_request.get(request_id, [])
-    n_path = sum(1 for s in siblings if s.attrs["kind"] == "path")
-    n_query = sum(1 for s in siblings if s.attrs["kind"] == "query")
-    if kind == "path":
-        depth = position
-    elif kind == "query":
-        depth = n_path + position
-    else:
-        depth = n_path + n_query + position
-    fv["max_decoration_depth"] = float(depth)
-
+    # depth counts the decorations of earlier URL sections before this one
+    section = _SECTIONS.index(node.attrs["kind"])
+    fv["max_decoration_depth"] = float(node.attrs["position"] + sum(
+        _SECTIONS.index(nodes[d].attrs["kind"]) < section
+        for d in out["splits"].get(request_id, ())))
     fv["shannon_entropy"] = shannon_entropy(node.attrs["value"])
-    fv["url_section"] = {"path": 0.0, "query": 1.0, "fragment": 2.0}[kind]
+    fv["url_section"] = float(section)
 
-    # flow features relative to the parent script and request
-    def storage_access_counts(script_id, store, sub):
-        if script_id is None:
-            return 0
-        return index.access_counts.get((script_id, store, sub), 0)
-
-    fv["parent_ls_sets"] = float(
-        storage_access_counts(parent, "localStorage", "set"))
-    fv["parent_ls_gets"] = float(
-        storage_access_counts(parent, "localStorage", "get"))
-    fv["parent_cookie_sets"] = float(
-        storage_access_counts(parent, "cookie", "set"))
-    fv["parent_cookie_gets"] = float(
-        storage_access_counts(parent, "cookie", "get"))
-
-    parent_requests = index.initiates_out.get(parent, []) if parent else []
-    fv["parent_requests_sent"] = float(len(parent_requests))
-    fv["parent_requests_received"] = float(sum(
-        len(index.responds_out.get(r, [])) for r in parent_requests))
-    fv["parent_redirects_sent"] = float(sum(
-        len(index.redirect_out.get(r, [])) for r in parent_requests))
-    fv["parent_redirects_received"] = float(sum(
-        len(index.redirect_in.get(r, [])) for r in parent_requests))
-    fv["parent_redirect_depth"] = float(
-        index.redirect_chain_depth(request_id))
-
-    shared = 0
-    if parent is not None:
-        own_storage = index.storage_by_script.get(parent, set())
-        other_scripts = set()
-        for snode in own_storage:
-            other_scripts |= index.scripts_by_storage.get(snode, set())
-        other_scripts.discard(parent)
-        for script in other_scripts:
-            shared += len(index.initiates_out.get(script, []))
-    fv["shared_storage_access"] = float(shared)
-
-    exfil_edges = index.exfil_in.get(node_id, [])
+    # flow features of the storage this decoration exfiltrates and of the
+    # scripts that set it
+    exfiltrated = into["exfiltration"].get(node_id, [])
     fv["cookie_exfiltration_count"] = float(sum(
-        1 for e in exfil_edges
-        if g.nodes[e.src].attrs.get("store") == "cookie"))
-
-    req_node = g.nodes[request_id]
-    fv["parent_infiltrations"] = float(req_node.attrs.get("infiltrations", 0))
-
-    setter_exfils = 0
-    setter_redirects = 0
-    setters: set = set()
-    for e in exfil_edges:
-        setters |= index.setters_by_storage.get(e.src, set())
-    set_storage: set = set()
-    for script in setters:
-        for snode in index.storage_by_script.get(script, set()):
-            if script in index.setters_by_storage.get(snode, set()):
-                set_storage.add(snode)
-    for snode in set_storage:
-        setter_exfils += index.exfil_out_count.get(snode, 0)
-    for script in setters:
-        for r in index.initiates_out.get(script, []):
-            setter_redirects += len(index.redirect_out.get(r, []))
-            setter_redirects += len(index.redirect_in.get(r, []))
-    fv["cookie_setter_exfiltrations"] = float(setter_exfils)
-    fv["cookie_setter_redirects"] = float(setter_redirects)
+        nodes[s].attrs.get("store") == "cookie" for s in exfiltrated))
+    setters = {script for s in exfiltrated
+               for script in into["set"].get(s, ())}
+    set_storage = {s for script in setters for s in out["set"].get(script, ())}
+    fv["cookie_setter_exfiltrations"] = float(sum(
+        len(out["exfiltration"].get(s, ())) for s in set_storage))
+    fv["cookie_setter_redirects"] = float(sum(
+        len(out["redirects"].get(r, ())) + len(into["redirects"].get(r, ()))
+        for script in setters for r in out["initiates"].get(script, ())))
 
     fv.update(index.flow.metrics(node_id, prefix="flow_"))
-    fv["indirect_ancestor_count"] = float(
-        len(index.ancestors(node_id, index.flow_view_rev)))
+    flow_parents = index.flow_parents
+    fv["indirect_ancestor_count"] = float(len(_ancestors(
+        node_id, lambda n: flow_parents.get(n, ()))))
 
     ordered = {name: fv[name] for name in FEATURE_NAMES}
-    for name, value in ordered.items():
-        if not math.isfinite(value):
-            raise ValueError(f"non-finite feature {name}={value}")
+    if not all(map(math.isfinite, ordered.values())):
+        name, value = next((n, v) for n, v in ordered.items()
+                           if not math.isfinite(v))
+        raise ValueError(f"non-finite feature {name}={value}")
     return ordered
 
 

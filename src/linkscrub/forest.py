@@ -49,10 +49,6 @@ class Forest:
     feature_version: str
     config: ForestConfig
 
-    @property
-    def prior(self) -> float:
-        return float(np.mean([_node_p1(t) for t in self.trees]))
-
 
 def _node_p1(node: dict) -> float:
     c0, c1 = node["counts"]
@@ -385,6 +381,9 @@ def load_forest(fh: IO[str]) -> Forest:
     except json.JSONDecodeError as exc:
         raise InputError(f"model is not JSON: line {exc.lineno}: "
                          f"{exc.msg}") from exc
+    except RecursionError as exc:
+        raise InputError(f"model {getattr(fh, 'name', '')!r} nests too "
+                         "deeply to read as JSON") from exc
     fmt = payload.get("format") if isinstance(payload, dict) else None
     if fmt != MODEL_FORMAT_VERSION:
         raise InputError(f"unsupported model format {fmt!r}")

@@ -156,24 +156,25 @@ def label_decorations(graphs: Iterable[PageGraph],
     """
     request_rules = list(request_rules)
     cookie_purpose_db = list(cookie_purpose_db)
-    curated_ats = list(curated_ats)
+    curated: dict[str, list[str]] = {}  # key -> fqdn patterns
+    for entry in curated_ats:
+        curated.setdefault(entry.key, []).append(entry.fqdn)
 
     provenance: dict[DecorationId, set] = {}
-    exfil_sources: dict[str, list] = {}
-
     for g in graphs:
-        exfil_sources.clear()
+        exfil_sources: dict[str, list] = {}
         for e in g.edges:
             if e.kind == EXFILTRATION:
                 exfil_sources.setdefault(e.dst, []).append(e.src)
+        clean: dict[str, bool] = {}  # request node -> no rule matches it
         for dec in g.decoration_nodes():
-            req = g.nodes[dec.attrs["request"]]
-            dec_obj = dec.attrs["decoration"]
-            dec_id = dec_obj.id
-            prov = provenance.setdefault(dec_id, set())
-            if (request_rules
-                    and match_request_filter(req.attrs.get("url", ""),
-                                             request_rules) == NON_ATS):
+            request_id = dec.attrs["request"]
+            if request_id not in clean:
+                url = g.nodes[request_id].attrs.get("url", "")
+                clean[request_id] = bool(request_rules) and (
+                    match_request_filter(url, request_rules) == NON_ATS)
+            prov = provenance.setdefault(dec.attrs["decoration"].id, set())
+            if clean[request_id]:
                 prov.add("request-filter-clean")
             for src in exfil_sources.get(dec.id, ()):
                 snode = g.nodes[src]
@@ -183,10 +184,10 @@ def label_decorations(graphs: Iterable[PageGraph],
                     cookie_purpose_db, g.site, snode.attrs.get("key", ""))
                 if purpose in ATS_PURPOSES:
                     prov.add("cookie-purpose")
-            for entry in curated_ats:
-                if (entry.key == dec_id.key
-                        and fqdn_pattern_matches(entry.fqdn, dec_id.fqdn)):
-                    prov.add("curated")
+    for dec_id, prov in provenance.items():
+        if any(fqdn_pattern_matches(pattern, dec_id.fqdn)
+               for pattern in curated.get(dec_id.key, ())):
+            prov.add("curated")
 
     out = []
     for dec_id in sorted(provenance,

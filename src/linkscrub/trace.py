@@ -169,8 +169,9 @@ def check_events(events: Iterable[Mapping], site: Optional[str] = None
 def parse_trace(stream: Union[IO[str], Iterable[str]]) -> Trace:
     """Parse one line-delimited trace.
 
-    An empty stream yields an empty Trace. A line that is not JSON, a missing
-    or wrong header, and the first event that breaks a rule of
+    An empty stream yields an empty Trace. A line that is not JSON or nests
+    deeper than the JSON reader can follow, a missing or wrong header, and
+    the first event that breaks a rule of
     :func:`check_events` raise :class:`TraceParseError` with the offending
     line number.
     """
@@ -187,6 +188,9 @@ def parse_trace(stream: Union[IO[str], Iterable[str]]) -> Trace:
             except json.JSONDecodeError as exc:
                 raise TraceParseError(
                     f"invalid JSON ({exc.msg})", line_no) from exc
+            except RecursionError as exc:
+                raise TraceParseError(
+                    "JSON nests too deeply", line_no) from exc
             if not header_seen:
                 if not (isinstance(record, dict)
                         and type(record.get("format")) is int

@@ -1,12 +1,23 @@
-"""Test-only references: the quadratic exfiltration scan and the per-node
-BFS structural metrics that ``graph.detect_exfiltration`` and
-``features.ViewMetrics`` replaced. The replacements must give equal edges,
-evidence and floats, so these keep the replaced arithmetic and order."""
+"""Test-only references: the quadratic exfiltration scan, the per-node BFS
+structural metrics, the per-decoration feature extraction and the
+per-decoration labeling that ``graph.detect_exfiltration``,
+``features.ViewMetrics``, ``features.extract_features`` and
+``labels.label_decorations`` replaced. The replacements must give equal
+edges, evidence, floats and labels, so these keep the replaced arithmetic
+and order."""
 
+import math
 from collections import deque
 
-from linkscrub.graph import (ENCODINGS, EXFILTRATION, HEX_ENCODINGS, STORAGE,
+from linkscrub.features import (AD_KEYWORDS, FEATURE_NAMES, FP_KEYWORDS,
+                                ViewMetrics, shannon_entropy)
+from linkscrub.graph import (DECORATION, ENCODINGS, EXFILTRATION,
+                             HEX_ENCODINGS, HTML, INTERACTION, SCRIPT, STORAGE,
                              encode_candidates)
+from linkscrub.labels import (ATS, ATS_PURPOSES, NON_ATS, UNKNOWN,
+                              LabeledDecoration, cookie_purpose,
+                              match_request_filter)
+from linkscrub.urls import fqdn_pattern_matches
 
 
 def _match_encoding(candidates, haystacks):
@@ -144,3 +155,281 @@ class ReferenceViewMetrics:
                   float(self.multi_degree[node_id]), adc, closeness,
                   eccentricity)
         return {prefix + name: v for name, v in zip(names, values)}
+
+
+_ANCESTRY_SUBKINDS = frozenset({"splits", "initiates", "creates", "redirects"})
+
+
+class ReferenceGraphIndex:
+    """One hand-built dict per relation."""
+
+    def __init__(self, g):
+        self.g = g
+        self.interaction = ViewMetrics(g.nodes.values(), g.edges)
+        flow_nodes, flow_edges = g.flow_view()
+        self.flow = ViewMetrics(flow_nodes, flow_edges)
+        self.ancestry_rev = {}
+        self.initiates_out = {}
+        self.initiates_in = {}
+        self.responds_out = {}
+        self.redirect_out = {}
+        self.redirect_in = {}
+        self.creates_in = {}
+        self.storage_by_script = {}
+        self.scripts_by_storage = {}
+        self.setters_by_storage = {}
+        self.exfil_in = {}
+        self.exfil_out_count = {}
+        self.access_counts = {}
+        self.children_by_request = {}
+        for e in g.edges:
+            if e.kind == INTERACTION and e.sub in _ANCESTRY_SUBKINDS:
+                self.ancestry_rev.setdefault(e.dst, []).append(e.src)
+            if e.kind == INTERACTION:
+                if e.sub == "initiates":
+                    self.initiates_out.setdefault(e.src, []).append(e.dst)
+                    self.initiates_in[e.dst] = e.src
+                elif e.sub == "responds":
+                    self.responds_out.setdefault(e.src, []).append(e.dst)
+                elif e.sub == "redirects":
+                    self.redirect_out.setdefault(e.src, []).append(e.dst)
+                    self.redirect_in.setdefault(e.dst, []).append(e.src)
+                elif e.sub == "creates":
+                    self.creates_in.setdefault(e.dst, []).append(e.src)
+                elif e.sub in ("set", "get"):
+                    self.storage_by_script.setdefault(e.src, set()).add(e.dst)
+                    self.scripts_by_storage.setdefault(e.dst, set()).add(e.src)
+                    if e.sub == "set":
+                        self.setters_by_storage.setdefault(
+                            e.dst, set()).add(e.src)
+                    store = g.nodes[e.dst].attrs.get("store")
+                    key = (e.src, store, e.sub)
+                    self.access_counts[key] = \
+                        self.access_counts.get(key, 0) + 1
+            elif e.kind == EXFILTRATION:
+                self.exfil_in.setdefault(e.dst, []).append(e)
+                self.exfil_out_count[e.src] = \
+                    self.exfil_out_count.get(e.src, 0) + 1
+        for dec in g.decoration_nodes():
+            self.children_by_request.setdefault(
+                dec.attrs["request"], []).append(dec)
+        self.flow_view_rev = {}
+        for e in flow_edges:
+            self.flow_view_rev.setdefault(e.dst, []).append(e.src)
+
+    def ancestors(self, node_id, rev):
+        seen = set()
+        stack = list(rev.get(node_id, []))
+        while stack:
+            cur = stack.pop()
+            if cur in seen:
+                continue
+            seen.add(cur)
+            stack.extend(rev.get(cur, []))
+        return seen
+
+    def parent_script(self, request_id):
+        initiator = self.initiates_in.get(request_id)
+        seen = set()
+        while initiator is not None and initiator not in seen:
+            seen.add(initiator)
+            node = self.g.nodes[initiator]
+            if node.kind == SCRIPT:
+                return initiator
+            if node.kind == HTML:
+                creators = self.creates_in.get(initiator, [])
+                initiator = creators[0] if creators else None
+                continue
+            return None
+        return None
+
+    def redirect_chain_depth(self, request_id):
+        depth = 0
+        cur = request_id
+        seen = set()
+        while cur in self.redirect_in and cur not in seen:
+            seen.add(cur)
+            depth += 1
+            cur = self.redirect_in[cur][0]
+        cur = request_id
+        seen = set()
+        while cur in self.redirect_out and cur not in seen:
+            seen.add(cur)
+            depth += 1
+            cur = self.redirect_out[cur][0]
+        return depth
+
+
+def reference_extract_features(g, node_id, index):
+    """Every feature worked out again for each decoration."""
+    node = g.nodes[node_id]
+    assert node.kind == DECORATION
+    fv = {}
+    fv.update(index.interaction.metrics(node_id))
+
+    request_id = node.attrs["request"]
+    ancestors = index.ancestors(node_id, index.ancestry_rev)
+    ancestor_scripts = [a for a in ancestors if g.nodes[a].kind == SCRIPT]
+    script_urls = " ".join(
+        str(g.nodes[a].attrs.get("url", "")).lower() for a in ancestor_scripts)
+    fv["ancestor_count"] = float(len(ancestors))
+    fv["ancestor_ad_keyword"] = float(
+        any(k in script_urls for k in AD_KEYWORDS))
+    fv["ancestor_fp_keyword"] = float(
+        any(k in script_urls for k in FP_KEYWORDS))
+    fv["ancestor_script_length"] = float(max(
+        (g.nodes[a].attrs.get("length", 0) for a in ancestor_scripts),
+        default=0))
+    fv["descendant_of_script"] = float(bool(ancestor_scripts))
+    parent = index.parent_script(request_id)
+    fv["parent_is_eval"] = float(
+        parent is not None and g.nodes[parent].attrs.get("is_eval", False))
+    fv["script_predecessor_count"] = float(len(ancestor_scripts))
+
+    kind = node.attrs["kind"]
+    position = node.attrs["position"]
+    siblings = index.children_by_request.get(request_id, [])
+    n_path = sum(1 for s in siblings if s.attrs["kind"] == "path")
+    n_query = sum(1 for s in siblings if s.attrs["kind"] == "query")
+    if kind == "path":
+        depth = position
+    elif kind == "query":
+        depth = n_path + position
+    else:
+        depth = n_path + n_query + position
+    fv["max_decoration_depth"] = float(depth)
+
+    fv["shannon_entropy"] = shannon_entropy(node.attrs["value"])
+    fv["url_section"] = {"path": 0.0, "query": 1.0, "fragment": 2.0}[kind]
+
+    def storage_access_counts(script_id, store, sub):
+        if script_id is None:
+            return 0
+        return index.access_counts.get((script_id, store, sub), 0)
+
+    fv["parent_ls_sets"] = float(
+        storage_access_counts(parent, "localStorage", "set"))
+    fv["parent_ls_gets"] = float(
+        storage_access_counts(parent, "localStorage", "get"))
+    fv["parent_cookie_sets"] = float(
+        storage_access_counts(parent, "cookie", "set"))
+    fv["parent_cookie_gets"] = float(
+        storage_access_counts(parent, "cookie", "get"))
+
+    parent_requests = index.initiates_out.get(parent, []) if parent else []
+    fv["parent_requests_sent"] = float(len(parent_requests))
+    fv["parent_requests_received"] = float(sum(
+        len(index.responds_out.get(r, [])) for r in parent_requests))
+    fv["parent_redirects_sent"] = float(sum(
+        len(index.redirect_out.get(r, [])) for r in parent_requests))
+    fv["parent_redirects_received"] = float(sum(
+        len(index.redirect_in.get(r, [])) for r in parent_requests))
+    fv["parent_redirect_depth"] = float(
+        index.redirect_chain_depth(request_id))
+
+    shared = 0
+    if parent is not None:
+        own_storage = index.storage_by_script.get(parent, set())
+        other_scripts = set()
+        for snode in own_storage:
+            other_scripts |= index.scripts_by_storage.get(snode, set())
+        other_scripts.discard(parent)
+        for script in other_scripts:
+            shared += len(index.initiates_out.get(script, []))
+    fv["shared_storage_access"] = float(shared)
+
+    exfil_edges = index.exfil_in.get(node_id, [])
+    fv["cookie_exfiltration_count"] = float(sum(
+        1 for e in exfil_edges
+        if g.nodes[e.src].attrs.get("store") == "cookie"))
+
+    req_node = g.nodes[request_id]
+    fv["parent_infiltrations"] = float(req_node.attrs.get("infiltrations", 0))
+
+    setter_exfils = 0
+    setter_redirects = 0
+    setters = set()
+    for e in exfil_edges:
+        setters |= index.setters_by_storage.get(e.src, set())
+    set_storage = set()
+    for script in setters:
+        for snode in index.storage_by_script.get(script, set()):
+            if script in index.setters_by_storage.get(snode, set()):
+                set_storage.add(snode)
+    for snode in set_storage:
+        setter_exfils += index.exfil_out_count.get(snode, 0)
+    for script in setters:
+        for r in index.initiates_out.get(script, []):
+            setter_redirects += len(index.redirect_out.get(r, []))
+            setter_redirects += len(index.redirect_in.get(r, []))
+    fv["cookie_setter_exfiltrations"] = float(setter_exfils)
+    fv["cookie_setter_redirects"] = float(setter_redirects)
+
+    fv.update(index.flow.metrics(node_id, prefix="flow_"))
+    fv["indirect_ancestor_count"] = float(
+        len(index.ancestors(node_id, index.flow_view_rev)))
+
+    ordered = {name: fv[name] for name in FEATURE_NAMES}
+    for name, value in ordered.items():
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite feature {name}={value}")
+    return ordered
+
+
+def reference_features_for_graph(g):
+    index = ReferenceGraphIndex(g)
+    return [(dec.id, reference_extract_features(g, dec.id, index))
+            for dec in sorted(g.decoration_nodes(), key=lambda n: n.id)]
+
+
+def reference_label_decorations(graphs, request_rules=(),
+                                cookie_purpose_db=(), curated_ats=(),
+                                conflicts=None):
+    """The request filter and the curated list matched per decoration."""
+    request_rules = list(request_rules)
+    cookie_purpose_db = list(cookie_purpose_db)
+    curated_ats = list(curated_ats)
+    provenance = {}
+    exfil_sources = {}
+    for g in graphs:
+        exfil_sources.clear()
+        for e in g.edges:
+            if e.kind == EXFILTRATION:
+                exfil_sources.setdefault(e.dst, []).append(e.src)
+        for dec in g.decoration_nodes():
+            req = g.nodes[dec.attrs["request"]]
+            dec_id = dec.attrs["decoration"].id
+            prov = provenance.setdefault(dec_id, set())
+            if (request_rules
+                    and match_request_filter(req.attrs.get("url", ""),
+                                             request_rules) == NON_ATS):
+                prov.add("request-filter-clean")
+            for src in exfil_sources.get(dec.id, ()):
+                snode = g.nodes[src]
+                if snode.attrs.get("store") != "cookie":
+                    continue
+                purpose = cookie_purpose(
+                    cookie_purpose_db, g.site, snode.attrs.get("key", ""))
+                if purpose in ATS_PURPOSES:
+                    prov.add("cookie-purpose")
+            for entry in curated_ats:
+                if (entry.key == dec_id.key
+                        and fqdn_pattern_matches(entry.fqdn, dec_id.fqdn)):
+                    prov.add("curated")
+    out = []
+    for dec_id in sorted(provenance, key=lambda d: (d.site, d.fqdn, d.key)):
+        prov = provenance[dec_id]
+        ats = prov & {"cookie-purpose", "curated"}
+        non_ats = "request-filter-clean" in prov
+        if ats:
+            label = ATS
+            if non_ats and conflicts is not None:
+                conflicts.append(
+                    f"{dec_id}: ATS ({', '.join(sorted(ats))}) overrides "
+                    "clean-request NonATS")
+        elif non_ats:
+            label = NON_ATS
+        else:
+            label = UNKNOWN
+        out.append(LabeledDecoration(dec_id, label, tuple(sorted(prov))))
+    return out

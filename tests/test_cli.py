@@ -267,6 +267,16 @@ MALFORMED_INPUTS["trace with list header"] = (
 MALFORMED_INPUTS["trace not UTF-8"] = (
     {"t.jsonl": b'{"format": 1}\n\xff\n'}, ["features", "t.jsonl"],
     "can't decode byte 0xff")
+MALFORMED_INPUTS["trace line nesting 100,000 deep"] = (
+    {"t.jsonl": HEADER + "\n" + "[" * 100_000 + "\n"}, ["parse", "t.jsonl"],
+    "line 2: JSON nests too deeply")
+# written out as text: json.dumps would itself recurse too deeply
+_DEEP_TREE = ('{"counts": [1, 1], "f": 0, "t": 0.5, "left": ' * 3000
+              + '{"counts": [1, 0]}'
+              + ', "right": {"counts": [0, 1]}}' * 3000)
+MALFORMED_INPUTS["model tree nesting 3,000 deep"] = (
+    {"model.json": _model([]).replace("[]", f"[{_DEEP_TREE}]", 1),
+     "m.csv": _matrix(_ROW)}, _PREDICT, "model 'model.json' nests too deeply")
 
 
 @pytest.mark.parametrize("files,argv,expected", MALFORMED_INPUTS.values(),

@@ -1,20 +1,31 @@
-"""The indexed exfiltration search and the batched BFS metrics give exactly
-what the full scan and the per-node BFS in ``reference_scan`` give: the
-same edges in the same order with the same evidence, and equal floats."""
+"""The indexed exfiltration search, the batched BFS metrics, the features
+computed once per request and the labels matched once per request and
+identity give exactly what the full scan, the per-node BFS and the
+per-decoration feature and label code in ``reference_scan`` give: the same
+edges in the same order with the same evidence, equal floats and equal
+labels."""
 
 import copy
 import random
 from urllib.parse import quote
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import Phase, find, given, settings, strategies as st
 
-from linkscrub.features import _BFS_BLOCK, ViewMetrics
-from linkscrub.graph import (DECORATION, ENCODINGS, EXFILTRATION, Edge, Node,
-                             attach_decoration_nodes, build_graph,
+from linkscrub import labels
+from linkscrub.features import (_BFS_BLOCK, REQUEST_LEVEL_FEATURES,
+                                ViewMetrics, _ancestors, _GraphIndex,
+                                _request_block, features_for_graph)
+from linkscrub.graph import (DECORATION, ENCODINGS, EXFILTRATION,
+                             INFILTRATION, Edge, Node, attach_decoration_nodes,
+                             build_full_graph, build_graph,
                              detect_exfiltration, encode_candidates)
 
 from conftest import TraceBuilder
-from reference_scan import ReferenceViewMetrics, reference_detect_exfiltration
+from reference_scan import (ReferenceGraphIndex, ReferenceViewMetrics,
+                            reference_detect_exfiltration,
+                            reference_features_for_graph,
+                            reference_label_decorations)
 
 # 'İ'.lower() is two characters long, so a lowered haystack holding it is
 # longer than the haystack and its match spans shift
@@ -147,3 +158,145 @@ def test_view_metrics_equal_reference_bfs_across_blocks():
     assert sum(nd.kind == DECORATION for nd in nodes) > 2 * _BFS_BLOCK
     for node in reversed(nodes):
         assert vm.metrics(node.id) == ref.metrics(node.id)
+
+
+_STORED = ["abcdefgh1234", "zyxw9876vuts", "k7"]
+_SCRIPT_URLS = ["https://cdn.example/lib.js", "https://ads.example/pixel.js",
+                "https://fp.example/canvas.js", ""]
+
+
+@st.composite
+def _page(draw):
+    """A page whose requests come from scripts, eval'd scripts, elements
+    that scripts, elements or themselves created, and the document; whose
+    requests may be sent twice and whose redirects form chains and cycles;
+    and whose URLs carry stored values in every section, or no decoration at
+    all."""
+    site = draw(st.sampled_from(["a.example", "b.example"]))
+    tb = TraceBuilder(site=site)
+    actors, requests = ["document"], []
+    values = st.sampled_from(_STORED) | st.text("abc019", max_size=9)
+    for i in range(draw(st.integers(1, 24))):
+        actor = draw(st.sampled_from(actors))
+        step = draw(st.sampled_from(
+            ["script", "eval", "element", "set", "get", "request",
+             "element_request", "response", "redirect"]))
+        if step in ("script", "eval"):
+            tb.add("script_load" if step == "script" else "eval_script",
+                   actor=actor, script_id=f"s{i}",
+                   url=draw(st.sampled_from(_SCRIPT_URLS)),
+                   length=draw(st.integers(0, 500)))
+            actors.append(f"s{i}")
+        elif step == "element":
+            element = draw(st.sampled_from([f"e{i}"] + actors[1:]))
+            tb.add("element_create", actor=actor, element_id=element,
+                   tag="img")
+            actors.append(element)
+        elif step in ("set", "get"):
+            getattr(tb, step)(actor, draw(st.sampled_from(
+                ["cookie", "localStorage"])), draw(st.sampled_from(
+                    ["_uid", "sid", "pref"])), draw(values))
+        elif step == "response" and requests:
+            set_storage = draw(st.lists(st.fixed_dictionaries({
+                "store": st.just("cookie"),
+                "key": st.sampled_from(["_uid", "sid"]),
+                "value": values}), max_size=1))
+            tb.response(draw(st.sampled_from(requests)),
+                        payload_text=draw(values),
+                        set_storage=set_storage)
+        elif step in ("request", "element_request", "redirect"):
+            host = draw(st.sampled_from(
+                ["t.example", "x.trk.example", "cdn.example"]))
+            dirs = draw(st.lists(values.filter(bool), max_size=2))
+            url = f"https://{host}/" + "".join(d + "/" for d in dirs) + "r"
+            query = draw(st.lists(st.tuples(st.sampled_from(
+                ["uid", "sid", "q"]), values), max_size=3))
+            if query:
+                url += "?" + "&".join(f"{k}={v}" for k, v in query)
+            if draw(st.booleans()):
+                url += "#" + draw(st.sampled_from(["sid=", ""])) + draw(values)
+            # a known request id as often as not: requests sent twice, and
+            # redirect chains and cycles
+            target = draw(st.sampled_from([f"r{i}"] + requests))
+            if step != "redirect":
+                tb.add(step, actor=actor, request_id=target, url=url)
+            elif requests:
+                tb.add("redirect", from_request_id=draw(
+                    st.sampled_from(requests)), request_id=target,
+                    to_url=url)
+            else:
+                continue
+            requests.append(target)
+    return tb.build()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_page(), st.sampled_from([0, 8]))
+def test_features_equal_reference_per_decoration(t, min_len):
+    g = build_full_graph(t, min_len=min_len)
+    assert features_for_graph(g) == reference_features_for_graph(g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_page())
+def test_decoration_ancestry_is_its_request_and_the_request_ancestry(t):
+    """The request block rests on this: a decoration's only ancestry edge is
+    the splits edge from its request."""
+    g = build_full_graph(t, min_len=0)
+    ref = ReferenceGraphIndex(g)
+    index = _GraphIndex(g)
+    for dec in g.decoration_nodes():
+        request = dec.attrs["request"]
+        assert (ref.ancestors(dec.id, ref.ancestry_rev)
+                == {request} | ref.ancestors(request, ref.ancestry_rev)
+                == {request} | _ancestors(request, index.ancestry_parents))
+        assert tuple(_request_block(index, request)) == REQUEST_LEVEL_FEATURES
+
+
+def _cases(t):
+    """Which of the cases the page strategy must reach ``t`` holds."""
+    g = build_full_graph(t, min_len=0)
+    index = _GraphIndex(g)
+    cases = {e.kind for e in g.edges} & {EXFILTRATION, INFILTRATION}
+    for req in g.request_nodes():
+        parent = index.parent_script(req.id)
+        initiator = index.into["initiates"].get(req.id, [""])[-1]
+        if req.id in _ancestors(req.id, index.ancestry_parents):
+            cases.add("redirect cycle")
+        if req.id not in index.out["splits"]:
+            cases.add("request without decorations")
+        if parent is not None and g.nodes[parent].attrs["is_eval"]:
+            cases.add("eval parent")
+        if parent is not None and initiator.startswith("html:"):
+            cases.add("element-created initiator")
+    return cases
+
+
+@pytest.mark.parametrize("case", [
+    EXFILTRATION, INFILTRATION, "redirect cycle",
+    "request without decorations", "eval parent", "element-created initiator"])
+def test_page_strategy_reaches(case):
+    find(_page(), lambda t: case in _cases(t),
+         settings=settings(max_examples=2000, deadline=None, database=None,
+                           phases=[Phase.generate]))
+
+
+_RULES = labels.parse_request_rules(["||trk.example^", "pixel"])
+_PURPOSES = labels.parse_cookie_purpose_db(
+    ["*,_uid,advertising", "a.example,sid,analytics", "*,sid,functional"])
+_CURATED = labels.parse_curated_list(
+    ["t.example|uid", "*.trk.example|uid", "*.example|q", "*|fragment",
+     "cdn.example|path|0"])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_page(), min_size=2, max_size=3), st.booleans())
+def test_labels_equal_reference_per_decoration(pages, with_sources):
+    graphs = [build_full_graph(t, min_len=0) for t in pages]
+    sources = (_RULES, _PURPOSES, _CURATED) if with_sources else ()
+    got_conflicts, want_conflicts = [], []
+    got = labels.label_decorations(graphs, *sources, conflicts=got_conflicts)
+    want = reference_label_decorations(graphs, *sources,
+                                       conflicts=want_conflicts)
+    assert got == want
+    assert got_conflicts == want_conflicts
