@@ -81,54 +81,66 @@ def balance(y: np.ndarray, seed: int = 0) -> np.ndarray:
     return np.sort(np.concatenate(keep))
 
 
-def _best_split(X, y, idx, feats):
-    """Best (weighted Gini, feature, threshold) over candidate features."""
+def _best_split(XT, y, idx, feats):
+    """Best (weighted Gini, feature, threshold) over candidate features.
+
+    ``XT`` holds one contiguous row per feature. One set of 2-D numpy calls
+    scores every candidate feature of the node, one row each. Ties go to the
+    first minimal split position within a feature, then to the first
+    minimal feature in ``feats`` order."""
     n = len(idx)
-    best = (np.inf, -1, 0.0)
-    ysub = y[idx]
-    for f in feats:
-        x = X[idx, f]
-        order = np.argsort(x, kind="stable")
-        xs = x[order]
-        ys = ysub[order]
-        splittable = xs[:-1] < xs[1:]
-        if not splittable.any():
+    rows = np.arange(len(feats))
+    xs = XT[feats[:, None], idx]
+    order = xs.argsort(axis=1, kind="stable")
+    xs = xs[rows[:, None], order]
+    pos = y[idx][order].cumsum(axis=1)
+    left_n = np.arange(1, n, dtype=np.float64)
+    left_pos = pos[:, :-1].astype(np.float64)
+    right_n = n - left_n
+    right_pos = pos[:, -1:] - left_pos
+    p_l = left_pos / left_n
+    p_r = right_pos / right_n
+    gini_l = 1.0 - p_l ** 2 - (1.0 - p_l) ** 2
+    gini_r = 1.0 - p_r ** 2 - (1.0 - p_r) ** 2
+    score = (left_n * gini_l + right_n * gini_r) / n
+    # the rows are sorted, so equal neighbours cannot be split apart
+    score[xs[:, :-1] == xs[:, 1:]] = np.inf
+    j = score.argmin(axis=1)
+    best = score[rows, j]
+    c = int(best.argmin())
+    if not np.isfinite(best[c]):
+        return np.inf, -1, 0.0
+    lo, hi = float(xs[c, j[c]]), float(xs[c, j[c] + 1])
+    t = (lo + hi) / 2.0
+    # between adjacent floats the midpoint rounds to one of them; a sum of
+    # two huge values overflows
+    if not lo <= t < hi:
+        t = lo
+    return float(best[c]), int(feats[c]), t
+
+
+def _grow_tree(XT, y, idx, rng, cfg: ForestConfig, k: int) -> dict:
+    """Grow one tree from an explicit stack, so depth is not limited by
+    recursion. The left child is popped first: nodes are visited in
+    pre-order, the order in which their feature draws come from ``rng``."""
+    root: dict = {}
+    stack = [(root, idx, 0)]
+    while stack:
+        node, idx, depth = stack.pop()
+        c0, c1 = np.bincount(y[idx], minlength=2).tolist()
+        node["counts"] = [c0, c1]
+        if (len(idx) < cfg.min_split_size or c0 == 0 or c1 == 0
+                or (cfg.max_depth is not None and depth >= cfg.max_depth)):
             continue
-        pos = np.cumsum(ys)
-        total_pos = pos[-1]
-        left_n = np.arange(1, n, dtype=np.float64)
-        left_pos = pos[:-1].astype(np.float64)
-        right_n = n - left_n
-        right_pos = total_pos - left_pos
-        p_l = left_pos / left_n
-        p_r = right_pos / right_n
-        gini_l = 1.0 - p_l ** 2 - (1.0 - p_l) ** 2
-        gini_r = 1.0 - p_r ** 2 - (1.0 - p_r) ** 2
-        score = (left_n * gini_l + right_n * gini_r) / n
-        score[~splittable] = np.inf
-        j = int(np.argmin(score))
-        if score[j] < best[0]:
-            best = (float(score[j]), int(f), float((xs[j] + xs[j + 1]) / 2.0))
-    return best
-
-
-def _grow_tree(X, y, idx, rng, cfg: ForestConfig, k: int, depth: int = 0) -> dict:
-    counts = [int(np.sum(y[idx] == 0)), int(np.sum(y[idx] == 1))]
-    node = {"counts": counts}
-    if (len(idx) < cfg.min_split_size
-            or counts[0] == 0 or counts[1] == 0
-            or (cfg.max_depth is not None and depth >= cfg.max_depth)):
-        return node
-    feats = rng.choice(X.shape[1], size=k, replace=False)
-    score, f, t = _best_split(X, y, idx, feats)
-    if not np.isfinite(score):
-        return node
-    go_left = X[idx, f] <= t
-    node["f"] = f
-    node["t"] = t
-    node["left"] = _grow_tree(X, y, idx[go_left], rng, cfg, k, depth + 1)
-    node["right"] = _grow_tree(X, y, idx[~go_left], rng, cfg, k, depth + 1)
-    return node
+        feats = rng.choice(XT.shape[0], size=k, replace=False)
+        score, f, t = _best_split(XT, y, idx, feats)
+        if not np.isfinite(score):
+            continue
+        go_left = XT[f, idx] <= t
+        node.update(f=f, t=t, left={}, right={})
+        stack.append((node["right"], idx[~go_left], depth + 1))
+        stack.append((node["left"], idx[go_left], depth + 1))
+    return root
 
 
 def train(X: np.ndarray, y: np.ndarray, cfg: ForestConfig,
@@ -136,37 +148,75 @@ def train(X: np.ndarray, y: np.ndarray, cfg: ForestConfig,
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     _check_matrix(X)
+    if ((y != NON_ATS_CLASS) & (y != ATS_CLASS)).any():
+        raise InputError("labels must be 0 (NonATS) or 1 (ATS)")
     if cfg.tree_count < 1:
         raise InputError("tree_count must be >= 1")
     k = cfg.resolve_features_per_split(X.shape[1])
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.tree_count)
     trees = []
     n = X.shape[0]
+    XT = np.ascontiguousarray(X.T)  # a node gathers and sorts whole rows
     for seq in seeds:
         rng = np.random.default_rng(seq)
         if cfg.bootstrap:
             idx = rng.integers(0, n, size=n)
         else:
             idx = np.arange(n)
-        trees.append(_grow_tree(X, y, idx, rng, cfg, k))
+        trees.append(_grow_tree(XT, y, idx, rng, cfg, k))
     return Forest(trees, tuple(feature_names), feature_version, cfg)
 
 
-def _tree_leaf_p1(node: dict, x: np.ndarray) -> float:
-    while "f" in node:
-        node = node["left"] if x[node["f"]] <= node["t"] else node["right"]
-    return _node_p1(node)
+def _tree_arrays(tree: dict):
+    """(feature, threshold, left, right, p1) arrays of one dict tree, with
+    nodes numbered breadth-first. A leaf has feature -1 and is its own
+    child."""
+    nodes = [tree]
+    feature, threshold, left, right, p1 = [], [], [], [], []
+    for i, node in enumerate(nodes):  # visits the children appended below
+        p1.append(_node_p1(node))
+        if "f" in node:
+            feature.append(node["f"])
+            threshold.append(node["t"])
+            left.append(len(nodes))
+            right.append(len(nodes) + 1)
+            nodes += (node["left"], node["right"])
+        else:
+            feature.append(-1)
+            threshold.append(0.0)
+            left.append(i)
+            right.append(i)
+    return (np.array(feature, dtype=np.intp),
+            np.array(threshold, dtype=np.float64),
+            np.array(left, dtype=np.intp), np.array(right, dtype=np.intp),
+            np.array(p1, dtype=np.float64))
+
+
+def _leaf_p1(tree: dict, X: np.ndarray) -> np.ndarray:
+    """ATS leaf proportion of ``tree`` for every row of ``X``: all rows step
+    down one level at a time, and a row leaves the walk at its leaf."""
+    feature, threshold, left, right, p1 = _tree_arrays(tree)
+    leaf = np.zeros(X.shape[0], dtype=np.intp)
+    rows = np.flatnonzero(feature[leaf] >= 0)
+    at = leaf[rows]
+    while rows.size:
+        go_left = X[rows, feature[at]] <= threshold[at]
+        at = np.where(go_left, left[at], right[at])
+        leaf[rows] = at
+        inner = feature[at] >= 0
+        rows, at = rows[inner], at[inner]
+    return p1[leaf]
 
 
 def predict_scores(forest: Forest, X: np.ndarray) -> np.ndarray:
     """Mean per-tree ATS leaf proportion for each row of ``X``."""
     X = np.asarray(X, dtype=np.float64)
     _check_matrix(X)
-    out = np.empty(X.shape[0])
-    for i in range(X.shape[0]):
-        out[i] = float(np.mean(
-            [_tree_leaf_p1(t, X[i]) for t in forest.trees]))
-    return out
+    P = np.empty((X.shape[0], len(forest.trees)))
+    for j, tree in enumerate(forest.trees):
+        P[:, j] = _leaf_p1(tree, X)
+    # a row of C-contiguous P is summed pairwise, as np.mean sums a list
+    return P.mean(axis=1)
 
 
 def predict(forest: Forest, x, feature_version: Optional[str] = None
@@ -350,8 +400,44 @@ def save_forest(forest: Forest, fh: IO[str]) -> None:
         "config": asdict(forest.config),
         "trees": forest.trees,
     }
-    json.dump(payload, fh, sort_keys=True)
+    try:
+        json.dump(payload, fh, sort_keys=True)
+    except RecursionError as exc:
+        depths = [_depth(tree) for tree in forest.trees]
+        i = depths.index(max(depths))
+        raise InputError(f"model tree {i} is {depths[i]} levels deep, too "
+                         "deep to write as JSON") from exc
     fh.write("\n")
+
+
+def _depth(tree: dict) -> int:
+    """Levels of ``tree``, its root and leaves included."""
+    depth, level = 0, [tree]
+    while level:
+        depth += 1
+        level = [child for node in level if "f" in node
+                 for child in (node["left"], node["right"])]
+    return depth
+
+
+def _is_int(value) -> bool:
+    return type(value) is int  # JSON true and false load as bool
+
+
+# what a model file may hold in each config field
+_CONFIG_FIELDS = {
+    "tree_count": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
+    "max_depth": (lambda v: v is None or _is_int(v) and v >= 0,
+                  "null or an integer >= 0"),
+    "min_split_size": (lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
+    "features_per_split": (
+        lambda v: v in ("sqrt", "all") or _is_int(v) and v >= 1,
+        '"sqrt", "all" or an integer >= 1'),
+    "bootstrap": (lambda v: type(v) is bool, "true or false"),
+    "seed": (lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
+    "threshold": (lambda v: type(v) in (int, float) and 0 <= v <= 1,
+                  "a number in [0, 1]"),
+}
 
 
 def _check_tree(tree, n_features: int, where: str) -> None:
@@ -398,9 +484,13 @@ def load_forest(fh: IO[str]) -> Forest:
     names = payload["feature_names"]
     for i, tree in enumerate(payload["trees"]):
         _check_tree(tree, len(names), f"model tree {i}")
-    try:
-        config = ForestConfig(**payload["config"])
-    except TypeError as exc:
-        raise InputError(f"model field 'config': {exc}") from exc
+    for name, value in payload["config"].items():
+        if name not in _CONFIG_FIELDS:
+            raise InputError(f"model field 'config' has unknown key {name!r}")
+        valid, what = _CONFIG_FIELDS[name]
+        if not valid(value):
+            raise InputError(f"model field 'config': {name!r} must be {what}, "
+                             f"not {json.dumps(value):.40}")
     return Forest(trees=payload["trees"], feature_names=tuple(names),
-                  feature_version=payload["feature_version"], config=config)
+                  feature_version=payload["feature_version"],
+                  config=ForestConfig(**payload["config"]))

@@ -1,16 +1,21 @@
 """Test-only references: the quadratic exfiltration scan, the per-node BFS
-structural metrics, the per-decoration feature extraction and the
-per-decoration labeling that ``graph.detect_exfiltration``,
-``features.ViewMetrics``, ``features.extract_features`` and
-``labels.label_decorations`` replaced. The replacements must give equal
-edges, evidence, floats and labels, so these keep the replaced arithmetic
-and order."""
+structural metrics, the per-decoration feature extraction, the
+per-decoration labeling, and the recursive tree grower with its
+per-feature split search and row-by-row scoring that
+``graph.detect_exfiltration``, ``features.ViewMetrics``,
+``features.extract_features``, ``labels.label_decorations`` and the
+array-backed ``forest`` replaced. The replacements must give equal edges,
+evidence, floats, labels, trees and scores, so these keep the replaced
+arithmetic and order."""
 
 import math
 from collections import deque
 
+import numpy as np
+
 from linkscrub.features import (AD_KEYWORDS, FEATURE_NAMES, FP_KEYWORDS,
                                 ViewMetrics, shannon_entropy)
+from linkscrub.forest import ForestConfig
 from linkscrub.graph import (DECORATION, ENCODINGS, EXFILTRATION,
                              HEX_ENCODINGS, HTML, INTERACTION, SCRIPT, STORAGE,
                              encode_candidates)
@@ -432,4 +437,89 @@ def reference_label_decorations(graphs, request_rules=(),
         else:
             label = UNKNOWN
         out.append(LabeledDecoration(dec_id, label, tuple(sorted(prov))))
+    return out
+
+
+def _reference_best_split(X, y, idx, feats):
+    n = len(idx)
+    best = (np.inf, -1, 0.0)
+    ysub = y[idx]
+    for f in feats:
+        x = X[idx, f]
+        order = np.argsort(x, kind="stable")
+        xs = x[order]
+        ys = ysub[order]
+        splittable = xs[:-1] < xs[1:]
+        if not splittable.any():
+            continue
+        pos = np.cumsum(ys)
+        total_pos = pos[-1]
+        left_n = np.arange(1, n, dtype=np.float64)
+        left_pos = pos[:-1].astype(np.float64)
+        right_n = n - left_n
+        right_pos = total_pos - left_pos
+        p_l = left_pos / left_n
+        p_r = right_pos / right_n
+        gini_l = 1.0 - p_l ** 2 - (1.0 - p_l) ** 2
+        gini_r = 1.0 - p_r ** 2 - (1.0 - p_r) ** 2
+        score = (left_n * gini_l + right_n * gini_r) / n
+        score[~splittable] = np.inf
+        j = int(np.argmin(score))
+        if score[j] < best[0]:
+            t = float((xs[j] + xs[j + 1]) / 2.0)
+            if not xs[j] <= t < xs[j + 1]:
+                t = float(xs[j])
+            best = (float(score[j]), int(f), t)
+    return best
+
+
+def _reference_grow_tree(X, y, idx, rng, cfg, k, depth=0):
+    counts = [int(np.sum(y[idx] == 0)), int(np.sum(y[idx] == 1))]
+    node = {"counts": counts}
+    if (len(idx) < cfg.min_split_size
+            or counts[0] == 0 or counts[1] == 0
+            or (cfg.max_depth is not None and depth >= cfg.max_depth)):
+        return node
+    feats = rng.choice(X.shape[1], size=k, replace=False)
+    score, f, t = _reference_best_split(X, y, idx, feats)
+    if not np.isfinite(score):
+        return node
+    go_left = X[idx, f] <= t
+    node["f"] = f
+    node["t"] = t
+    node["left"] = _reference_grow_tree(X, y, idx[go_left], rng, cfg, k,
+                                        depth + 1)
+    node["right"] = _reference_grow_tree(X, y, idx[~go_left], rng, cfg, k,
+                                         depth + 1)
+    return node
+
+
+def reference_trees(X, y, cfg: ForestConfig) -> list:
+    """The trees ``forest.train`` grows, one recursive call per node."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    k = cfg.resolve_features_per_split(X.shape[1])
+    trees = []
+    n = X.shape[0]
+    for seq in np.random.SeedSequence(cfg.seed).spawn(cfg.tree_count):
+        rng = np.random.default_rng(seq)
+        idx = rng.integers(0, n, size=n) if cfg.bootstrap else np.arange(n)
+        trees.append(_reference_grow_tree(X, y, idx, rng, cfg, k))
+    return trees
+
+
+def _reference_leaf_p1(node, x):
+    while "f" in node:
+        node = node["left"] if x[node["f"]] <= node["t"] else node["right"]
+    c0, c1 = node["counts"]
+    return c1 / (c0 + c1)
+
+
+def reference_predict_scores(trees, X):
+    """Each row walked down each tree, the leaf values averaged by
+    ``np.mean`` over a list."""
+    X = np.asarray(X, dtype=np.float64)
+    out = np.empty(X.shape[0])
+    for i in range(X.shape[0]):
+        out[i] = float(np.mean([_reference_leaf_p1(t, X[i]) for t in trees]))
     return out

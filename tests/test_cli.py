@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -277,6 +278,46 @@ _DEEP_TREE = ('{"counts": [1, 1], "f": 0, "t": 0.5, "left": ' * 3000
 MALFORMED_INPUTS["model tree nesting 3,000 deep"] = (
     {"model.json": _model([]).replace("[]", f"[{_DEEP_TREE}]", 1),
      "m.csv": _matrix(_ROW)}, _PREDICT, "model 'model.json' nests too deeply")
+
+for _name, _config, _field in (
+        ("threshold a string", {"threshold": "x"}, "'threshold'"),
+        ("threshold null", {"threshold": None}, "'threshold'"),
+        ("threshold above 1", {"threshold": 1.5}, "'threshold'"),
+        ("tree_count a string", {"tree_count": "x"}, "'tree_count'"),
+        ("max_depth a float", {"max_depth": 2.5}, "'max_depth'"),
+        ("features_per_split other text", {"features_per_split": "log2"},
+         "'features_per_split'"),
+        ("bootstrap an integer", {"bootstrap": 1}, "'bootstrap'"),
+        ("seed negative", {"seed": -1}, "'seed'")):
+    MALFORMED_INPUTS[f"model config {_name}"] = (
+        {"model.json": _model([{"counts": [1, 1]}], config=_config),
+         "m.csv": _matrix(_ROW)}, _PREDICT, f"'config': {_field} must be")
+
+
+def _deep_tree_inputs(n=3000):
+    """A matrix and labels on which ``train`` with seed 0 grows a first
+    tree over 1,000 levels deep. The rows its bootstrap draws exactly once
+    alternate in label along every column, and the best split peels one of
+    them at a time; the rows drawn more often are one NonATS block at 0."""
+    rng = np.random.default_rng(np.random.SeedSequence(0).spawn(1)[0])
+    draws = np.bincount(rng.integers(0, n, size=n), minlength=n)
+    once = np.flatnonzero(draws == 1)
+    x = np.zeros(n, dtype=int)
+    x[once] = np.arange(1, len(once) + 1)
+    ats = x % 2 == 0
+    ats[draws != 1] = False
+    # unsampled rows balance the classes, so balancing keeps every row
+    unsampled = np.flatnonzero(draws == 0)
+    ats[unsampled[:n // 2 - ats.sum()]] = True
+    rows = [f"t,n,s.example,t.example,k{i},query," + ",".join(
+        [str(x[i])] * len(features.FEATURE_NAMES)) for i in range(n)]
+    labels = "".join(f"s.example,t.example,k{i},{'ATS' if a else 'NonATS'},p\n"
+                     for i, a in enumerate(ats))
+    return {"m.csv": _matrix(*rows), "l.csv": _LABELS + labels}
+
+
+MALFORMED_INPUTS["matrix that grows a tree too deep to save"] = (
+    _deep_tree_inputs(), _TRAIN + ["--trees", "1"], "model tree 0 is")
 
 
 @pytest.mark.parametrize("files,argv,expected", MALFORMED_INPUTS.values(),

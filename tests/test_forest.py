@@ -185,3 +185,35 @@ def test_non_finite_input_rejected():
     X[3, 2] = np.nan
     with pytest.raises(InputError):
         forest.train(X, y, forest.ForestConfig(tree_count=2), ["a"] * 5)
+
+
+@pytest.mark.parametrize("low", [np.nextafter(1.0, 2.0), np.nextafter(
+    np.finfo(float).max, 0.0), -np.finfo(float).max])
+def test_split_between_adjacent_floats_leaves_no_empty_child(low):
+    # the midpoint of two adjacent floats rounds to one of them, or
+    # overflows, so the threshold falls back to the lower value
+    high = np.nextafter(low, np.inf)
+    X = np.array([[low], [low], [high], [high]])
+    y = np.array([0, 0, 1, 1])
+    cfg = forest.ForestConfig(tree_count=1, bootstrap=False,
+                              features_per_split="all")
+    model = forest.train(X, y, cfg, ["f0"])
+    assert model.trees[0]["t"] == low
+    buf = io.StringIO()
+    forest.save_forest(model, buf)
+    buf.seek(0)
+    again = forest.load_forest(buf)
+    assert forest.predict_scores(again, np.array([[high], [low]])).tolist() \
+        == [1.0, 0.0]
+
+
+def test_tree_deeper_than_the_recursion_limit():
+    # the best split of alternating labels peels one row off an end
+    X = np.arange(1500.0)[:, None]
+    y = np.arange(1500) % 2
+    cfg = forest.ForestConfig(tree_count=2, bootstrap=False)
+    model = forest.train(X, y, cfg, ["f0"])
+    assert forest.predict_scores(model, X).tolist() == y.tolist()
+    assert forest._depth(model.trees[0]) == 1500
+    report = forest.cross_validate(X, y, cfg, ["f0"], k=2, seed=0)
+    assert sum(report.confusion.values()) == 1500

@@ -1,18 +1,20 @@
 """The indexed exfiltration search, the batched BFS metrics, the features
-computed once per request and the labels matched once per request and
-identity give exactly what the full scan, the per-node BFS and the
-per-decoration feature and label code in ``reference_scan`` give: the same
-edges in the same order with the same evidence, equal floats and equal
-labels."""
+computed once per request, the labels matched once per request and
+identity, and the array-backed forest give exactly what the full scan, the
+per-node BFS, the per-decoration feature and label code and the recursive
+tree code in ``reference_scan`` give: the same edges in the same order with
+the same evidence, equal floats, equal labels, equal trees and equal
+scores."""
 
 import copy
 import random
 from urllib.parse import quote
 
+import numpy as np
 import pytest
 from hypothesis import Phase, find, given, settings, strategies as st
 
-from linkscrub import labels
+from linkscrub import forest, labels
 from linkscrub.features import (_BFS_BLOCK, REQUEST_LEVEL_FEATURES,
                                 ViewMetrics, _ancestors, _GraphIndex,
                                 _request_block, features_for_graph)
@@ -25,7 +27,8 @@ from conftest import TraceBuilder
 from reference_scan import (ReferenceGraphIndex, ReferenceViewMetrics,
                             reference_detect_exfiltration,
                             reference_features_for_graph,
-                            reference_label_decorations)
+                            reference_label_decorations,
+                            reference_predict_scores, reference_trees)
 
 # 'İ'.lower() is two characters long, so a lowered haystack holding it is
 # longer than the haystack and its match spans shift
@@ -300,3 +303,66 @@ def test_labels_equal_reference_per_decoration(pages, with_sources):
                                        conflicts=want_conflicts)
     assert got == want
     assert got_conflicts == want_conflicts
+
+
+@st.composite
+def _column(draw, n):
+    """One feature column: constant, a few integers with many ties, two
+    adjacent floats, or spread floats."""
+    kind = draw(st.sampled_from(["constant", "integer", "adjacent", "float"]))
+    if kind == "constant":
+        return [draw(st.integers(-2, 2))] * n
+    if kind == "integer":
+        return draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    if kind == "adjacent":
+        low = draw(st.floats(-1e6, 1e6))
+        pair = [low, float(np.nextafter(low, np.inf))]
+        return draw(st.lists(st.sampled_from(pair), min_size=n, max_size=n))
+    return draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n))
+
+
+@st.composite
+def _forests(draw):
+    """A labeled matrix and a forest config over the options that shape a
+    tree."""
+    n = draw(st.integers(2, 40))
+    d = draw(st.integers(1, 5))
+    X = np.array([draw(_column(n)) for _ in range(d)], dtype=np.float64).T
+    y = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    cfg = forest.ForestConfig(
+        tree_count=draw(st.integers(1, 4)),
+        max_depth=draw(st.none() | st.integers(0, 4)),
+        min_split_size=draw(st.integers(0, 6)),
+        features_per_split=draw(st.sampled_from(["sqrt", "all"])
+                                | st.integers(1, d + 1)),
+        bootstrap=draw(st.booleans()),
+        seed=draw(st.integers(0, 2 ** 16)))
+    return X, y, cfg
+
+
+@settings(max_examples=300, deadline=None)
+@given(_forests())
+def test_forest_equals_reference_recursive_trees(case):
+    X, y, cfg = case
+    model = forest.train(X, y, cfg, [f"f{i}" for i in range(X.shape[1])])
+    assert model.trees == reference_trees(X, y, cfg)
+    # the training rows, and rows between and beyond them
+    rows = np.vstack([X, (X + X[::-1]) / 2, X * 2 + 1])
+    assert (forest.predict_scores(model, rows)
+            == reference_predict_scores(model.trees, rows)).all()
+
+
+def test_hundred_tree_scores_equal_reference():
+    # over 100 trees np.mean sums a list pairwise, not left to right
+    rng = np.random.default_rng(4)
+    # repeated rows with both labels leave mixed leaves
+    X = rng.integers(0, 3, size=(200, 6)).astype(np.float64)
+    y = (X[:, 0] + rng.normal(size=200) > 1).astype(np.int64)
+    cfg = forest.ForestConfig(tree_count=100, seed=7)
+    model = forest.train(X, y, cfg, [f"f{i}" for i in range(6)])
+    assert model.trees == reference_trees(X, y, cfg)
+    scores = forest.predict_scores(model, X)
+    assert (scores == reference_predict_scores(model.trees, X)).all()
+    # and here a sum from left to right would differ from it
+    per_tree = [reference_predict_scores([tree], X) for tree in model.trees]
+    assert (sum(per_tree) / 100 != scores).any()
