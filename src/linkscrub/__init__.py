@@ -2,29 +2,4 @@
 and tracking identifiers in URLs, filter-list emission, and URL sanitization.
 """
 
-from .features import FEATURE_NAMES, FEATURE_VERSION, shannon_entropy
-from .graph import build_full_graph, build_graph
-from .trace import Trace, TraceEvent, parse_trace
-from .urls import (DecoratedUrl, DecorationId, LinkDecoration, decompose,
-                   name_decorations, reassemble, sanitize)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "DecoratedUrl",
-    "DecorationId",
-    "FEATURE_NAMES",
-    "FEATURE_VERSION",
-    "LinkDecoration",
-    "Trace",
-    "TraceEvent",
-    "build_full_graph",
-    "build_graph",
-    "decompose",
-    "name_decorations",
-    "parse_trace",
-    "reassemble",
-    "sanitize",
-    "shannon_entropy",
-    "__version__",
-]

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from typing import IO, Iterable, Optional
 
 from .errors import RuleLoadError
-from .urls import DecorationId
+from .urls import DecorationId, RuleIndex
 
 LIST_FORMAT_VERSION = 1
 _HEADER = f"# decoration-filter-list v{LIST_FORMAT_VERSION}"
@@ -34,8 +34,9 @@ class Prediction:
 
 def emit_filter_list(predictions: Iterable[Prediction], threshold: float,
                      action: str = "replace",
-                     model_version: str = "") -> list[FilterRule]:
-    """One rule per distinct flagged identity, ordered by (site, fqdn, key).
+                     model_version: str = "") -> RuleIndex:
+    """One rule per distinct flagged identity, ordered by (site, fqdn, key),
+    as a :class:`~linkscrub.urls.RuleIndex` ready for ``sanitize``.
 
     When an identity reaches the threshold on every site where it was
     observed, a single ``*``-scoped rule is emitted; otherwise one rule per
@@ -58,7 +59,7 @@ def emit_filter_list(predictions: Iterable[Prediction], threshold: float,
                 rules.append(FilterRule(site, fqdn, key, action, score,
                                         model_version))
     rules.sort(key=lambda r: (r.scope, r.fqdn, r.key))
-    return rules
+    return RuleIndex(rules)
 
 
 def write_native(rules: Iterable[FilterRule], fh: IO[str]) -> None:
@@ -69,7 +70,8 @@ def write_native(rules: Iterable[FilterRule], fh: IO[str]) -> None:
                  f"{r.score!r}\t{r.model_version}\n")
 
 
-def parse_native(fh: IO[str]) -> list[FilterRule]:
+def parse_native(fh: IO[str]) -> RuleIndex:
+    """Read a native filter list into a :class:`~linkscrub.urls.RuleIndex`."""
     first = fh.readline().rstrip("\n")
     if first != _HEADER:
         raise RuleLoadError(
@@ -94,7 +96,7 @@ def parse_native(fh: IO[str]) -> list[FilterRule]:
             raise RuleLoadError(
                 f"line {line_no}: score outside [0, 1]", line)
         rules.append(FilterRule(scope, fqdn, key, action, score_f, model))
-    return rules
+    return RuleIndex(rules)
 
 
 def export_adblock(rules: Iterable[FilterRule],

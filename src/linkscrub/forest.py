@@ -400,14 +400,16 @@ def save_forest(forest: Forest, fh: IO[str]) -> None:
         "config": asdict(forest.config),
         "trees": forest.trees,
     }
+    # encoded whole before the first write, so a failure leaves no partial
+    # model behind
     try:
-        json.dump(payload, fh, sort_keys=True)
+        text = json.dumps(payload, sort_keys=True)
     except RecursionError as exc:
         depths = [_depth(tree) for tree in forest.trees]
         i = depths.index(max(depths))
         raise InputError(f"model tree {i} is {depths[i]} levels deep, too "
                          "deep to write as JSON") from exc
-    fh.write("\n")
+    fh.write(text + "\n")
 
 
 def _depth(tree: dict) -> int:

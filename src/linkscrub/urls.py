@@ -13,6 +13,8 @@ import random
 import re
 import string
 from dataclasses import dataclass, replace
+from itertools import groupby
+from operator import itemgetter
 from typing import Optional, Union
 from urllib.parse import quote, unquote
 
@@ -209,35 +211,33 @@ def reassemble(d: DecoratedUrl) -> str:
     return "".join(out)
 
 
-def name_decorations(d: DecoratedUrl, site: str) -> list[LinkDecoration]:
-    """Enumerate the link decorations of ``d`` in URL order.
-
-    One decoration per directory level (resource name excluded), per query
-    pair, and per fragment entry; ids follow the ``fqdn|key`` scheme with the
-    originating site recorded.
-    """
-    decs: list[LinkDecoration] = []
+def decoded_decorations(d: DecoratedUrl):
+    """``(kind, key, value)`` of each decoration of ``d``, decoded once, in
+    URL order: one per directory level (resource name excluded), per query
+    pair, and per fragment entry."""
     for i, seg in enumerate(d.path_segments):
-        decs.append(LinkDecoration(
-            DecorationId(site, d.fqdn, f"path|{i}"), PATH_KIND, seg, i))
-    for i, (k, v) in enumerate(d.query_params):
-        decs.append(LinkDecoration(
-            DecorationId(site, d.fqdn, k), QUERY_KIND, v, i))
-    if d.fragment is not None:
-        if d.fragment_is_kv:
-            for i, (k, v) in enumerate(d.fragment):
-                decs.append(LinkDecoration(
-                    DecorationId(site, d.fqdn, k), FRAGMENT_KIND, v, i))
-        else:
-            decs.append(LinkDecoration(
-                DecorationId(site, d.fqdn, "fragment"), FRAGMENT_KIND,
-                d.fragment, 0))
-    return decs
+        yield PATH_KIND, f"path|{i}", seg
+    for key, value in d.query_params:
+        yield QUERY_KIND, key, value
+    if d.fragment_is_kv:
+        for key, value in d.fragment:
+            yield FRAGMENT_KIND, key, value
+    elif d.fragment is not None:
+        yield FRAGMENT_KIND, "fragment", d.fragment
+
+
+def name_decorations(d: DecoratedUrl, site: str) -> list[LinkDecoration]:
+    """The link decorations of ``d`` in URL order, with ids following the
+    ``fqdn|key`` scheme and the originating site recorded, and positions
+    counted within each kind."""
+    return [LinkDecoration(DecorationId(site, d.fqdn, key), kind, value, i)
+            for kind, group in groupby(decoded_decorations(d), itemgetter(0))
+            for i, (_, key, value) in enumerate(group)]
 
 
 def raw_decorations(d: DecoratedUrl) -> list[RawDecoration]:
-    """Wire-level view of the decorations of ``d``, in ``name_decorations``
-    order."""
+    """Wire-level view of the decorations of ``d``, in
+    ``decoded_decorations`` order."""
     decs = [RawDecoration(PATH_KIND, f"path|{i}", seg, True)
             for i, seg in enumerate(d.raw_dir_segments)]
     tokens = [(QUERY_KIND, t) for t in d.raw_query_tokens]
@@ -308,14 +308,6 @@ def random_token(rng: random.Random, length: int) -> str:
     return "".join(rng.choice(_REPLACEMENT_ALPHABET) for _ in range(length))
 
 
-def _rule_matches(rule, site: str, fqdn: str, key: str) -> bool:
-    if rule.scope not in ("*", site):
-        return False
-    if not fqdn_pattern_matches(rule.fqdn, fqdn):
-        return False
-    return rule.key == key
-
-
 def fqdn_pattern_matches(pattern: str, fqdn: str) -> bool:
     """Exact hostname, ``*`` (any), or ``*.suffix`` (subdomains and the suffix)."""
     if pattern == "*":
@@ -326,11 +318,72 @@ def fqdn_pattern_matches(pattern: str, fqdn: str) -> bool:
     return fqdn == pattern
 
 
+class RuleIndex(tuple):
+    """An immutable sequence of sanitization rules (anything with ``scope``,
+    ``fqdn`` and ``key``), indexed once by key, then by fqdn pattern.
+
+    A lookup tries the exact fqdn, then ``*.`` plus each of its label
+    suffixes, then ``*``, and checks the scope last.
+    """
+
+    def __new__(cls, rules=()):
+        self = super().__new__(cls, rules)
+        self._by_key = {}
+        for pos, rule in enumerate(self):
+            self._by_key.setdefault(rule.key, {}).setdefault(
+                rule.fqdn, []).append((pos, rule))
+        self._path_levels = [(level, key) for key in self._by_key
+                             if (level := _path_level(key)) is not None]
+        return self
+
+    def matching(self, site: str, fqdn: str, key: str):
+        """``(position, rule)`` of each rule for ``key`` whose fqdn pattern
+        covers ``fqdn`` and whose scope is ``*`` or ``site``."""
+        by_fqdn = self._by_key.get(key)
+        if by_fqdn is None:
+            return
+        for pattern in _fqdn_patterns(fqdn):
+            for pos, rule in by_fqdn.get(pattern, ()):
+                if rule.scope == "*" or rule.scope == site:
+                    yield pos, rule
+
+    def inapplicable(self, site: str, fqdn: str, depth: int) -> list:
+        """The ``path|<i>`` rules matching ``site`` and ``fqdn`` that name a
+        level ``depth`` or deeper, in rule order."""
+        hits = [hit for level, key in self._path_levels if level >= depth
+                for hit in self.matching(site, fqdn, key)]
+        return [rule for _, rule in sorted(hits, key=itemgetter(0))]
+
+
+def _path_level(key: str) -> Optional[int]:
+    """The directory level a ``path|<i>`` rule key names, or None."""
+    if not key.startswith("path|"):
+        return None
+    try:
+        return int(key[len("path|"):])
+    except ValueError:
+        return None
+
+
+def _fqdn_patterns(fqdn: str):
+    """Each fqdn pattern that :func:`fqdn_pattern_matches` ``fqdn``, once."""
+    if fqdn != "*" and not fqdn.startswith("*."):
+        # a host written as a pattern is reached as the pattern below
+        yield fqdn
+    yield "*." + fqdn
+    dot = fqdn.find(".")
+    while dot != -1:
+        yield "*." + fqdn[dot + 1:]
+        dot = fqdn.find(".", dot + 1)
+    yield "*"
+
+
 def sanitize(url: str, site: str, rules, mode: str = "replace",
              seed: int = 0, audit: Optional[list] = None) -> str:
     """Apply sanitization ``rules`` to ``url``.
 
-    Every decoration matched by a rule has its value replaced by a
+    ``rules`` is a :class:`RuleIndex`, or any iterable of rules, indexed on
+    each call. Every decoration matched by a rule has its value replaced by a
     seeded-random alphanumeric string of equal length (``replace`` mode) or is
     removed (``strip`` mode, query/fragment only; path levels are always
     replaced to preserve URL shape). Unmatched decorations stay byte-identical
@@ -342,27 +395,23 @@ def sanitize(url: str, site: str, rules, mode: str = "replace",
     if mode not in ("replace", "strip"):
         raise ValueError(f"unknown sanitize mode: {mode}")
     d = decompose(url)
-    rules = list(rules)
+    index = rules if isinstance(rules, RuleIndex) else RuleIndex(rules)
     rng = random.Random(seed)
 
     if audit is not None:
         depth = len(d.path_segments)
-        for rule in rules:
-            if (rule.key.startswith("path|")
-                    and rule.scope in ("*", site)
-                    and fqdn_pattern_matches(rule.fqdn, d.fqdn)):
-                level = int(rule.key.split("|", 1)[1])
-                if level >= depth:
-                    audit.append(
-                        f"inapplicable rule {rule.key} (URL depth {depth}): {url}")
+        audit.extend(
+            f"inapplicable rule {rule.key} (URL depth {depth}): {url}"
+            for rule in index.inapplicable(site, d.fqdn, depth))
 
     out: list[RawDecoration] = []
-    for dec, raw in zip(name_decorations(d, site), raw_decorations(d)):
-        if not any(_rule_matches(r, site, d.fqdn, dec.id.key) for r in rules):
+    for (kind, key, value), raw in zip(decoded_decorations(d),
+                                       raw_decorations(d)):
+        if not any(index.matching(site, d.fqdn, key)):
             out.append(raw)
-        elif mode == "replace" or dec.kind == PATH_KIND:
-            token = _encode_token(random_token(rng, len(dec.value)))
+        elif mode == "replace" or kind == PATH_KIND:
+            token = _encode_token(random_token(rng, len(value)))
             # a key-only query token gains its "="
             out.append(replace(raw, value=token,
-                               bare=raw.bare and dec.kind != QUERY_KIND))
+                               bare=raw.bare and kind != QUERY_KIND))
     return with_decorations(d, out)

@@ -1,15 +1,18 @@
 """Test-only references: the quadratic exfiltration scan, the per-node BFS
 structural metrics, the per-decoration feature extraction, the
-per-decoration labeling, and the recursive tree grower with its
-per-feature split search and row-by-row scoring that
-``graph.detect_exfiltration``, ``features.ViewMetrics``,
-``features.extract_features``, ``labels.label_decorations`` and the
-array-backed ``forest`` replaced. The replacements must give equal edges,
-evidence, floats, labels, trees and scores, so these keep the replaced
-arithmetic and order."""
+per-decoration labeling, the recursive tree grower with its
+per-feature split search and row-by-row scoring, and the sanitizer's scan
+of every rule for every decoration that ``graph.detect_exfiltration``,
+``features.ViewMetrics``, ``features.extract_features``,
+``labels.label_decorations``, the array-backed ``forest`` and
+``urls.RuleIndex`` replaced. The replacements must give equal edges,
+evidence, floats, labels, trees, scores, URLs and audits, so these keep the
+replaced arithmetic and order."""
 
 import math
+import random
 from collections import deque
+from dataclasses import replace
 
 import numpy as np
 
@@ -22,7 +25,9 @@ from linkscrub.graph import (DECORATION, ENCODINGS, EXFILTRATION,
 from linkscrub.labels import (ATS, ATS_PURPOSES, NON_ATS, UNKNOWN,
                               LabeledDecoration, cookie_purpose,
                               match_request_filter)
-from linkscrub.urls import fqdn_pattern_matches
+from linkscrub.urls import (PATH_KIND, QUERY_KIND, _encode_token, decompose,
+                            fqdn_pattern_matches, name_decorations,
+                            random_token, raw_decorations, with_decorations)
 
 
 def _match_encoding(candidates, haystacks):
@@ -523,3 +528,44 @@ def reference_predict_scores(trees, X):
     for i in range(X.shape[0]):
         out[i] = float(np.mean([_reference_leaf_p1(t, X[i]) for t in trees]))
     return out
+
+
+def _rule_matches(rule, site, fqdn, key):
+    if rule.scope not in ("*", site):
+        return False
+    if not fqdn_pattern_matches(rule.fqdn, fqdn):
+        return False
+    return rule.key == key
+
+
+def reference_sanitize(url, site, rules, mode="replace", seed=0, audit=None):
+    """``urls.sanitize`` testing every rule against every decoration. A
+    ``path|`` key whose level is not an integer names no level, so the audit
+    skips it."""
+    d = decompose(url)
+    rules = list(rules)
+    rng = random.Random(seed)
+
+    if audit is not None:
+        depth = len(d.path_segments)
+        for rule in rules:
+            if (rule.key.startswith("path|")
+                    and rule.scope in ("*", site)
+                    and fqdn_pattern_matches(rule.fqdn, d.fqdn)):
+                try:
+                    level = int(rule.key.split("|", 1)[1])
+                except ValueError:
+                    continue
+                if level >= depth:
+                    audit.append(
+                        f"inapplicable rule {rule.key} (URL depth {depth}): {url}")
+
+    out = []
+    for dec, raw in zip(name_decorations(d, site), raw_decorations(d)):
+        if not any(_rule_matches(r, site, d.fqdn, dec.id.key) for r in rules):
+            out.append(raw)
+        elif mode == "replace" or dec.kind == PATH_KIND:
+            token = _encode_token(random_token(rng, len(dec.value)))
+            out.append(replace(raw, value=token,
+                               bare=raw.bare and dec.kind != QUERY_KIND))
+    return with_decorations(d, out)

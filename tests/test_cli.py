@@ -335,3 +335,6 @@ def test_malformed_input_exits_1_without_traceback(
     err = capsys.readouterr().err
     assert err.startswith("error: ") and expected in err, err
     assert "Traceback" not in err
+    # a failed train leaves no partial model behind
+    out = tmp_path / "x.json"
+    assert not out.exists() or out.read_bytes() == b""

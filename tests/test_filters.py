@@ -33,7 +33,7 @@ def test_emit_list_partial_identity_stays_site_scoped():
 
 def test_emit_list_empty_when_nothing_over_threshold():
     preds = [_pred("a.example", "t.example", "uid", 0.4)]
-    assert filters.emit_filter_list(preds, threshold=0.5) == []
+    assert filters.emit_filter_list(preds, threshold=0.5) == ()
 
 
 def test_emit_list_threshold_zero_counts_identities():

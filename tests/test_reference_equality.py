@@ -1,10 +1,11 @@
 """The indexed exfiltration search, the batched BFS metrics, the features
 computed once per request, the labels matched once per request and
-identity, and the array-backed forest give exactly what the full scan, the
-per-node BFS, the per-decoration feature and label code and the recursive
-tree code in ``reference_scan`` give: the same edges in the same order with
-the same evidence, equal floats, equal labels, equal trees and equal
-scores."""
+identity, the array-backed forest and the sanitizer's rule index give
+exactly what the full scan, the per-node BFS, the per-decoration feature and
+label code, the recursive tree code and the scan over every rule in
+``reference_scan`` give: the same edges in the same order with the same
+evidence, equal floats, equal labels, equal trees, equal scores, equal
+sanitized URLs and equal audits."""
 
 import copy
 import random
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import Phase, find, given, settings, strategies as st
 
 from linkscrub import forest, labels
+from linkscrub.filters import FilterRule
 from linkscrub.features import (_BFS_BLOCK, REQUEST_LEVEL_FEATURES,
                                 ViewMetrics, _ancestors, _GraphIndex,
                                 _request_block, features_for_graph)
@@ -22,13 +24,16 @@ from linkscrub.graph import (DECORATION, ENCODINGS, EXFILTRATION,
                              INFILTRATION, Edge, Node, attach_decoration_nodes,
                              build_full_graph, build_graph,
                              detect_exfiltration, encode_candidates)
+from linkscrub.urls import (RuleIndex, decompose, decoded_decorations,
+                            sanitize)
 
 from conftest import TraceBuilder
 from reference_scan import (ReferenceGraphIndex, ReferenceViewMetrics,
                             reference_detect_exfiltration,
                             reference_features_for_graph,
                             reference_label_decorations,
-                            reference_predict_scores, reference_trees)
+                            reference_predict_scores, reference_sanitize,
+                            reference_trees)
 
 # 'İ'.lower() is two characters long, so a lowered haystack holding it is
 # longer than the haystack and its match spans shift
@@ -366,3 +371,101 @@ def test_hundred_tree_scores_equal_reference():
     # and here a sum from left to right would differ from it
     per_tree = [reference_predict_scores([tree], X) for tree in model.trees]
     assert (sum(per_tree) / 100 != scores).any()
+
+
+# -- sanitizer rule index -----------------------------------------------------
+
+_LABELS = ["a", "b", "trk", "*"]
+_SITES = ["s.example", "t.example"]
+_KEYS = ["uid", "a", "path|0", "path|1", "path|3", "path|x", "fragment"]
+
+
+@st.composite
+def _hosts(draw):
+    """A host of one to three labels, maybe with a trailing dot; a label
+    ``*`` makes hosts that read as patterns."""
+    host = ".".join(draw(st.lists(st.sampled_from(_LABELS), min_size=1,
+                                  max_size=3)))
+    return host + "." if draw(st.booleans()) else host
+
+
+@st.composite
+def _rule_lists(draw):
+    """Rules over few keys, hosts and scopes, so duplicates are common; the
+    fqdn patterns are exact hosts, ``*.suffix``, ``*`` and ``*.``."""
+    fqdns = st.one_of(_hosts(), _hosts().map("*.".__add__),
+                      st.sampled_from(["*", "*."]))
+    rules = st.builds(FilterRule, st.sampled_from(["*"] + _SITES), fqdns,
+                      st.sampled_from(_KEYS))
+    return draw(st.lists(rules, max_size=8))
+
+
+@st.composite
+def _sanitize_urls(draw):
+    """A URL with up to three directory levels, query tokens, some of them
+    bare or with an escaped key, and a singular, keyed or no fragment."""
+    dirs = draw(st.lists(st.sampled_from(["d", "ab%20c", ""]), max_size=3))
+    url = f"https://{draw(_hosts())}/" + "".join(d + "/" for d in dirs) + "r"
+    tokens = draw(st.lists(st.sampled_from(
+        ["uid=1234", "u%69d=xy", "uid", "a=", "a=5", "path|x=77",
+         "path%7C1=8", "b=9"]), max_size=4))
+    if tokens or draw(st.booleans()):
+        url += "?" + "&".join(tokens)
+    fragment = draw(st.sampled_from([None, "", "frag", "a=1&uid=22",
+                                     "fragment=3"]))
+    return url if fragment is None else url + "#" + fragment
+
+
+@settings(max_examples=600, deadline=None)
+@given(_sanitize_urls(), st.sampled_from(_SITES), _rule_lists(),
+       st.sampled_from(["replace", "strip"]), st.integers(0, 3),
+       st.booleans())
+def test_sanitize_equals_reference_scan(url, site, rules, mode, seed,
+                                        indexed):
+    want_audit, got_audit = [], []
+    want = reference_sanitize(url, site, rules, mode, seed, want_audit)
+    passed = RuleIndex(rules) if indexed else rules
+    assert sanitize(url, site, passed, mode, seed, got_audit) == want
+    assert got_audit == want_audit
+
+
+def _sanitize_cases(url, site, rules):
+    d = decompose(url)
+    keys = {key for _, key, _ in decoded_decorations(d)}
+    cases = set()
+    for rule in rules:
+        if rule.key not in keys or rule.scope not in ("*", site):
+            continue
+        if rule.fqdn == d.fqdn:
+            cases.add("exact host hit")
+        elif rule.fqdn == "*":
+            cases.add("any host hit")
+        elif rule.fqdn == "*." and d.fqdn.endswith("."):
+            cases.add("'*.' hit on a trailing dot")
+        elif rule.fqdn == "*." + d.fqdn:
+            cases.add("'*.suffix' hit on the suffix itself")
+        elif rule.fqdn.startswith("*.") and d.fqdn.endswith(rule.fqdn[1:]):
+            cases.add("'*.suffix' hit on a subdomain")
+    if len(set(rules)) < len(rules):
+        cases.add("duplicate rules")
+    if any(r.scope == site and r.key in keys for r in rules):
+        cases.add("site-scoped hit")
+    audit = []
+    reference_sanitize(url, site, rules, audit=audit)
+    if audit:
+        cases.add("path rule past the depth")
+    if len(audit) > len(set(audit)):
+        cases.add("duplicate audit entries")
+    return cases
+
+
+@pytest.mark.parametrize("case", [
+    "exact host hit", "any host hit", "'*.' hit on a trailing dot",
+    "'*.suffix' hit on the suffix itself", "'*.suffix' hit on a subdomain",
+    "duplicate rules", "site-scoped hit", "path rule past the depth",
+    "duplicate audit entries"])
+def test_sanitize_strategy_reaches(case):
+    find(st.tuples(_sanitize_urls(), st.sampled_from(_SITES), _rule_lists()),
+         lambda args: case in _sanitize_cases(*args),
+         settings=settings(max_examples=5000, deadline=None, database=None,
+                           phases=[Phase.generate]))

@@ -1,10 +1,15 @@
+import io
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from linkscrub import urls
+from linkscrub import filters, urls
 from linkscrub.errors import UrlParseError
 from linkscrub.filters import FilterRule
 
@@ -246,6 +251,28 @@ def test_sanitize_inapplicable_path_rule_audited():
     out = urls.sanitize(url, "s", [_rule("path|5")], audit=audit)
     assert out == url
     assert len(audit) == 1
+
+
+def test_sanitize_path_key_naming_no_level_is_not_audited():
+    # parse_native accepts the key; it names no directory level, so the
+    # audit skips it, and it still matches a query key spelled the same
+    rules = filters.parse_native(io.StringIO(
+        "# decoration-filter-list v1\n*\t*\tpath|x\treplace\t1.0\t\n"))
+    audit = []
+    url = "https://h.example/a/x?path|x=1234&b=1"
+    out = urls.sanitize(url, "s", rules, mode="strip", audit=audit)
+    assert out == "https://h.example/a/x?b=1"
+    assert audit == []
+
+
+def test_sanitize_path_imports_no_numpy():
+    src = Path(urls.__file__).resolve().parents[1]
+    code = ("import sys, linkscrub.urls, linkscrub.filters; "
+            "print('numpy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "False"
 
 
 def test_random_token_alphanumeric():
