@@ -165,7 +165,9 @@ class ViewMetrics:
     """Structural metrics over one view (node list + edge list) of a graph.
 
     Multi-edges count toward degrees and edge counts; shortest paths use the
-    simple undirected projection. Components are discovered lazily.
+    simple undirected projection. Components are discovered lazily; the
+    first edge count labels every node's component and counts each
+    component's edges in one pass.
 
     Closeness and eccentricity need, per node, how many nodes lie at each
     distance. The first ``metrics`` call gets them for every decoration of
@@ -174,7 +176,8 @@ class ViewMetrics:
     vectorised steps, instead of one Python BFS per decoration. Any other
     node gets a BFS of its own when asked. Closeness adds 1/d once per node
     at distance d, in ascending d: the terms, and their order, of a sum over
-    a per-node BFS, so Python's ``sum`` gives the same float.
+    a per-node BFS, so Python's ``sum`` gives the same float. That sum is
+    kept per distinct level vector, before it is divided by n - 1.
     """
 
     def __init__(self, nodes, edges):
@@ -193,9 +196,11 @@ class ViewMetrics:
             self.multi_degree[e.src] += 1
             self.multi_degree[e.dst] += 1
         self._component_of: dict[str, frozenset] = {}
-        self._component_edges: dict[frozenset, int] = {}
+        self._component_edges: Optional[Counter] = None
         self._decorations = [n.id for n in nodes if n.kind == DECORATION]
         self._levels: dict[str, list[int]] = {}
+        # level vector -> closeness sum before dividing by n - 1
+        self._closeness: dict[tuple, float] = {}
 
     def __contains__(self, node_id: str) -> bool:
         return node_id in self.node_ids
@@ -218,11 +223,13 @@ class ViewMetrics:
         return comp
 
     def component_edge_count(self, comp: frozenset) -> int:
-        cached = self._component_edges.get(comp)
-        if cached is None:
-            cached = sum(1 for e in self.edges if e.src in comp)
-            self._component_edges[comp] = cached
-        return cached
+        if self._component_edges is None:
+            # every node's component, then one pass over the edges
+            for nid in self.node_ids:
+                self.component(nid)
+            self._component_edges = Counter(
+                self._component_of[e.src] for e in self.edges)
+        return self._component_edges[comp]
 
     def level_counts(self, node_id: str) -> list[int]:
         """How many nodes lie at distance 1, 2, ... from ``node_id``."""
@@ -259,8 +266,12 @@ class ViewMetrics:
         n_edges = self.component_edge_count(comp)
         levels = self.level_counts(node_id)
         if n_nodes > 1:
-            closeness = sum(chain.from_iterable(
-                repeat(1.0 / d, count) for d, count in enumerate(levels, 1)))
+            key = tuple(levels)
+            closeness = self._closeness.get(key)
+            if closeness is None:
+                closeness = self._closeness[key] = sum(chain.from_iterable(
+                    repeat(1.0 / d, count)
+                    for d, count in enumerate(levels, 1)))
             closeness /= (n_nodes - 1)
             eccentricity = float(len(levels))
         else:
@@ -308,7 +319,8 @@ class _GraphIndex:
     with that label, in edge order, and ``into[label][node]`` those of its
     incoming edges. The label is an interaction edge's sub-kind or a flow
     edge's kind. ``requests`` holds each request's block of
-    ``REQUEST_LEVEL_FEATURES`` once it has been computed.
+    ``REQUEST_LEVEL_FEATURES`` once it has been computed, and ``scripts``
+    the part of it that each parent script decides.
     """
 
     def __init__(self, g: PageGraph):
@@ -327,6 +339,7 @@ class _GraphIndex:
         for e in flow_edges:
             self.flow_parents.setdefault(e.dst, []).append(e.src)
         self.requests: dict[str, dict[str, float]] = {}
+        self.scripts: dict[Optional[str], dict[str, float]] = {}
 
     def ancestry_parents(self, node_id: str) -> list[str]:
         into = self.into
@@ -362,15 +375,11 @@ class _GraphIndex:
         return depth
 
 
-def _request_block(index: _GraphIndex, request_id: str) -> dict[str, float]:
-    """The ``REQUEST_LEVEL_FEATURES`` shared by a request's decorations."""
+def _script_block(index: _GraphIndex,
+                  parent: Optional[str]) -> dict[str, float]:
+    """The request-level features that depend only on the request's parent
+    script (``None`` when it has none)."""
     nodes, out, into = index.g.nodes, index.out, index.into
-    # a decoration's one ancestry edge is the splits edge from its request
-    ancestors = {request_id} | _ancestors(request_id, index.ancestry_parents)
-    scripts = [nodes[a] for a in ancestors if nodes[a].kind == SCRIPT]
-    script_urls = " ".join(
-        str(s.attrs.get("url", "")).lower() for s in scripts)
-    parent = index.parent_script(request_id)
 
     def accesses(store: str, sub: str) -> float:
         return float(sum(nodes[s].attrs.get("store") == store
@@ -382,17 +391,8 @@ def _request_block(index: _GraphIndex, request_id: str) -> dict[str, float]:
                for script in into[sub].get(s, ())}
     sharers.discard(parent)
     return {
-        "ancestor_count": float(len(ancestors)),
-        "ancestor_ad_keyword": float(
-            any(k in script_urls for k in AD_KEYWORDS)),
-        "ancestor_fp_keyword": float(
-            any(k in script_urls for k in FP_KEYWORDS)),
-        "ancestor_script_length": float(max(
-            (s.attrs.get("length", 0) for s in scripts), default=0)),
-        "descendant_of_script": float(bool(scripts)),
         "parent_is_eval": float(
             parent is not None and nodes[parent].attrs.get("is_eval", False)),
-        "script_predecessor_count": float(len(scripts)),
         "parent_ls_sets": accesses("localStorage", "set"),
         "parent_ls_gets": accesses("localStorage", "get"),
         "parent_cookie_sets": accesses("cookie", "set"),
@@ -404,12 +404,40 @@ def _request_block(index: _GraphIndex, request_id: str) -> dict[str, float]:
             len(out["redirects"].get(r, ())) for r in sent)),
         "parent_redirects_received": float(sum(
             len(into["redirects"].get(r, ())) for r in sent)),
-        "parent_redirect_depth": float(index.redirect_chain_depth(request_id)),
         "shared_storage_access": float(sum(
             len(out["initiates"].get(script, ())) for script in sharers)),
+    }
+
+
+def _request_block(index: _GraphIndex, request_id: str) -> dict[str, float]:
+    """The ``REQUEST_LEVEL_FEATURES`` shared by a request's decorations, in
+    that order."""
+    nodes = index.g.nodes
+    # a decoration's one ancestry edge is the splits edge from its request
+    ancestors = {request_id} | _ancestors(request_id, index.ancestry_parents)
+    scripts = [nodes[a] for a in ancestors if nodes[a].kind == SCRIPT]
+    script_urls = " ".join(
+        str(s.attrs.get("url", "")).lower() for s in scripts)
+    parent = index.parent_script(request_id)
+    script_block = index.scripts.get(parent)
+    if script_block is None:
+        script_block = index.scripts[parent] = _script_block(index, parent)
+    block = {
+        "ancestor_count": float(len(ancestors)),
+        "ancestor_ad_keyword": float(
+            any(k in script_urls for k in AD_KEYWORDS)),
+        "ancestor_fp_keyword": float(
+            any(k in script_urls for k in FP_KEYWORDS)),
+        "ancestor_script_length": float(max(
+            (s.attrs.get("length", 0) for s in scripts), default=0)),
+        "descendant_of_script": float(bool(scripts)),
+        "script_predecessor_count": float(len(scripts)),
+        "parent_redirect_depth": float(index.redirect_chain_depth(request_id)),
         "parent_infiltrations": float(
             nodes[request_id].attrs.get("infiltrations", 0)),
+        **script_block,
     }
+    return {name: block[name] for name in REQUEST_LEVEL_FEATURES}
 
 
 def extract_features(g: PageGraph, node_id: str,

@@ -295,30 +295,36 @@ def _match_containment(forms: dict[str, str], fragments: list[str]):
     return None
 
 
-# k of the k-gram indexes that find exfiltration candidates
+# k of the k-grams that find exfiltration candidates
 KGRAM = DEFAULT_MIN_VALUE_LEN
 
 
-def _kgram_index(strings_per_item) -> dict[str, list[int]]:
-    """k-gram -> indexes of the items with a string that contains it."""
+def _prefix_pairs(needles, haystacks) -> set[tuple[int, int]]:
+    """``(i, j)`` for each ``needles[i]`` holding a string whose first
+    ``KGRAM`` characters occur in one of the strings of ``haystacks[j]``.
+    The needles' prefixes are indexed, and the k-grams of each distinct
+    haystack string looked up once, however many items hold it. A needle
+    shorter than a k-gram cannot be looked up, so its item pairs with every
+    haystack item."""
     index: dict[str, list[int]] = {}
-    for item, strings in enumerate(strings_per_item):
-        grams = {s[i:i + KGRAM] for s in strings
-                 for i in range(len(s) - KGRAM + 1)}
-        for gram in grams:
-            index.setdefault(gram, []).append(item)
-    return index
-
-
-def _lookup(index: dict[str, list[int]], needles, everything: range):
-    """Items whose strings may contain one of ``needles``. A needle shorter
-    than a k-gram cannot be looked up, so it may be in any item."""
-    found: set[int] = set()
-    for needle in needles:
-        if len(needle) < KGRAM:
-            return everything
-        found.update(index.get(needle[:KGRAM], ()))
-    return found
+    short = []
+    for i, strings in enumerate(needles):
+        if any(len(s) < KGRAM for s in strings):
+            short.append(i)
+            continue
+        for s in strings:
+            index.setdefault(s[:KGRAM], []).append(i)
+    pairs = {(i, j) for i in short for j in range(len(haystacks))}
+    holders: dict[str, list[int]] = {}  # haystack string -> items
+    for j, strings in enumerate(haystacks):
+        for s in strings:
+            holders.setdefault(s, []).append(j)
+    if index:
+        for s, items in holders.items():
+            for k in range(len(s) - KGRAM + 1):
+                for i in index.get(s[k:k + KGRAM], ()):
+                    pairs.update((i, j) for j in items)
+    return pairs
 
 
 def detect_exfiltration(g: PageGraph,
@@ -334,20 +340,21 @@ def detect_exfiltration(g: PageGraph,
     values and, in the reverse direction, short decoration values (default 8;
     pass 0 to disable the pre-processing for evasion studies).
 
-    Candidate (value, decoration) pairs come from two k-gram indexes
+    Candidate (value, decoration) pairs come from two needle indexes
     (k = ``KGRAM``) instead of a test of every pair. Forward: each encoded
-    form's first k characters are looked up among the k-grams of the
-    decorations' haystacks, decoded, raw and lowercased. Reverse: each
-    decoration value's first k characters, as is and lowercased, are looked
-    up among the k-grams of the encoded forms. A string shorter than k
-    cannot be looked up, so a value or decoration with one (possible only
-    when ``min_len`` < k) is paired with every decoration or value, as a scan
-    would. Each distinct value is encoded once, and ``_match_encoding`` /
-    ``_match_containment`` confirm each candidate, so the encoding priority
-    and the evidence span are those of a full scan; edges are added in the
-    scan's order (request, storage node, value, decoration). The cost grows
-    with the haystacks' and forms' lengths and the candidates, not with
-    stored values x decorations.
+    form's first k characters are indexed, and every k-gram of the
+    decorations' haystacks, decoded, raw and lowercased, is looked up in
+    that index, once per distinct string on the page. Reverse: each
+    decoration value's first k characters, as is and lowercased, are
+    indexed, and every k-gram of the encoded forms is looked up. A needle
+    shorter than k cannot be indexed, so a value or decoration with one
+    (possible only when ``min_len`` < k) is paired with every decoration or
+    value, as a scan would. Each distinct value is encoded once, and
+    ``_match_encoding`` / ``_match_containment`` confirm each candidate, so
+    the encoding priority and the evidence span are those of a full scan;
+    edges are added in the scan's order (request, storage node, value,
+    decoration). The cost grows with the haystacks' and forms' lengths and
+    the candidates, not with stored values x decorations.
     """
     requests = {req.id: (i, req.attrs.get("seq", 0))
                 for i, req in enumerate(g.request_nodes())}
@@ -372,23 +379,15 @@ def detect_exfiltration(g: PageGraph,
             hays.append(dec.attrs["raw_value"])
         haystacks.append(hays)
 
-    candidates: set[tuple[int, int]] = set()
-    if values:
-        forward = _kgram_index(
-            [h for hay in hays for h in (hay, hay.lower())]
-            for hays in haystacks)
-        all_decorations = range(len(decorations))
-        for vi, value in enumerate(values):
-            candidates.update((vi, di) for di in _lookup(
-                forward, encoded[value].values(), all_decorations))
-        reverse = _kgram_index(encoded[v].values() for v in values)
-        all_values = range(len(values))
-        for di, dec in enumerate(decorations):
-            if len(dec.attrs["value"]) >= min_len:
-                needles = [n for hay in haystacks[di] if hay
-                           for n in (hay, hay.lower())]
-                candidates.update((vi, di) for vi in _lookup(
-                    reverse, needles, all_values))
+    all_forms = [list(encoded[v].values()) for v in values]
+    candidates = _prefix_pairs(
+        all_forms, [[s for h in hays for s in (h, h.lower())]
+                    for hays in haystacks])
+    needles = [[s for h in hays if h for s in (h, h.lower())]
+               if len(dec.attrs["value"]) >= min_len else []
+               for dec, hays in zip(decorations, haystacks)]
+    candidates.update(
+        (vi, di) for di, vi in _prefix_pairs(needles, all_forms))
 
     hits = []
     for vi, di in candidates:

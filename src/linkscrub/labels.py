@@ -15,7 +15,7 @@ from typing import IO, Iterable, Optional
 from . import urls
 from .errors import InputError, RuleLoadError, UrlParseError
 from .graph import EXFILTRATION, PageGraph
-from .urls import DecorationId, fqdn_pattern_matches
+from .urls import DecorationId, fqdn_pattern_matches, fqdn_patterns
 
 ATS = "ATS"
 NON_ATS = "NonATS"
@@ -37,10 +37,24 @@ class RequestRule:
     pattern: str
     host_anchor: Optional[str] = None
 
+
+class RequestRuleIndex(tuple):
+    """An immutable sequence of request rules, indexed once: each ``||host^``
+    anchor as the fqdn pattern ``*.host`` in a set, looked up with the
+    patterns covering the request's fqdn, and the substring patterns in a
+    list, scanned."""
+
+    def __new__(cls, rules=()):
+        self = super().__new__(cls, rules)
+        self._hosts = {"*." + r.host_anchor for r in self
+                       if r.host_anchor is not None}
+        self._substrings = [r.pattern for r in self if r.host_anchor is None]
+        return self
+
     def matches(self, url: str, fqdn: str) -> bool:
-        if self.host_anchor is not None:
-            return fqdn_pattern_matches("*." + self.host_anchor, fqdn)
-        return self.pattern in url
+        """Whether any rule matches ``url``, whose host is ``fqdn``."""
+        return (any(p in self._hosts for p in fqdn_patterns(fqdn))
+                or any(pattern in url for pattern in self._substrings))
 
 
 def parse_request_rules(lines: Iterable[str]) -> list[RequestRule]:
@@ -64,15 +78,16 @@ def parse_request_rules(lines: Iterable[str]) -> list[RequestRule]:
 
 
 def match_request_filter(url: str, rules: Iterable[RequestRule]) -> str:
-    """ATS iff any rule matches ``url``; NonATS otherwise."""
+    """ATS iff any rule matches ``url``; NonATS otherwise. ``rules`` is a
+    :class:`RequestRuleIndex`, or any iterable of rules, indexed on each
+    call."""
+    index = rules if isinstance(rules, RequestRuleIndex) \
+        else RequestRuleIndex(rules)
     try:
         fqdn = urls.decompose(url).fqdn
     except UrlParseError:
         fqdn = ""
-    for rule in rules:
-        if rule.matches(url, fqdn):
-            return ATS
-    return NON_ATS
+    return ATS if index.matches(url, fqdn) else NON_ATS
 
 
 @dataclass(frozen=True)
@@ -154,8 +169,10 @@ def label_decorations(graphs: Iterable[PageGraph],
     ``conflicts`` when given); identities with no firing source are Unknown.
     Duplicate observations across graphs merge with provenance union.
     """
-    request_rules = list(request_rules)
-    cookie_purpose_db = list(cookie_purpose_db)
+    request_rules = RequestRuleIndex(request_rules)
+    purposes: dict[str, list[CookiePurposeEntry]] = {}  # key -> entries
+    for entry in cookie_purpose_db:
+        purposes.setdefault(entry.key, []).append(entry)
     curated: dict[str, list[str]] = {}  # key -> fqdn patterns
     for entry in curated_ats:
         curated.setdefault(entry.key, []).append(entry.fqdn)
@@ -170,9 +187,10 @@ def label_decorations(graphs: Iterable[PageGraph],
         for dec in g.decoration_nodes():
             request_id = dec.attrs["request"]
             if request_id not in clean:
+                # the request URL's fqdn, as the split decomposed it
                 url = g.nodes[request_id].attrs.get("url", "")
-                clean[request_id] = bool(request_rules) and (
-                    match_request_filter(url, request_rules) == NON_ATS)
+                clean[request_id] = bool(request_rules) and not (
+                    request_rules.matches(url, dec.attrs["fqdn"]))
             prov = provenance.setdefault(dec.attrs["decoration"].id, set())
             if clean[request_id]:
                 prov.add("request-filter-clean")
@@ -180,8 +198,8 @@ def label_decorations(graphs: Iterable[PageGraph],
                 snode = g.nodes[src]
                 if snode.attrs.get("store") != "cookie":
                     continue
-                purpose = cookie_purpose(
-                    cookie_purpose_db, g.site, snode.attrs.get("key", ""))
+                key = snode.attrs.get("key", "")
+                purpose = cookie_purpose(purposes.get(key, ()), g.site, key)
                 if purpose in ATS_PURPOSES:
                     prov.add("cookie-purpose")
     for dec_id, prov in provenance.items():

@@ -342,7 +342,7 @@ class RuleIndex(tuple):
         by_fqdn = self._by_key.get(key)
         if by_fqdn is None:
             return
-        for pattern in _fqdn_patterns(fqdn):
+        for pattern in fqdn_patterns(fqdn):
             for pos, rule in by_fqdn.get(pattern, ()):
                 if rule.scope == "*" or rule.scope == site:
                     yield pos, rule
@@ -356,16 +356,18 @@ class RuleIndex(tuple):
 
 
 def _path_level(key: str) -> Optional[int]:
-    """The directory level a ``path|<i>`` rule key names, or None."""
-    if not key.startswith("path|"):
-        return None
-    try:
-        return int(key[len("path|"):])
-    except ValueError:
-        return None
+    """The directory level a ``path|<i>`` rule key names, or None.
+    Decorations are named with ``i`` in ASCII digits and no leading zero, so
+    only that spelling names a level: ``path|01`` or ``path|+1`` names none.
+    """
+    level = key[len("path|"):] if key.startswith("path|") else ""
+    if level.isascii() and level.isdigit() and (
+            level == "0" or not level.startswith("0")):
+        return int(level)
+    return None
 
 
-def _fqdn_patterns(fqdn: str):
+def fqdn_patterns(fqdn: str):
     """Each fqdn pattern that :func:`fqdn_pattern_matches` ``fqdn``, once."""
     if fqdn != "*" and not fqdn.startswith("*."):
         # a host written as a pattern is reached as the pattern below

@@ -1,13 +1,14 @@
 """Test-only references: the quadratic exfiltration scan, the per-node BFS
 structural metrics, the per-decoration feature extraction, the
-per-decoration labeling, the recursive tree grower with its
-per-feature split search and row-by-row scoring, and the sanitizer's scan
-of every rule for every decoration that ``graph.detect_exfiltration``,
-``features.ViewMetrics``, ``features.extract_features``,
-``labels.label_decorations``, the array-backed ``forest`` and
-``urls.RuleIndex`` replaced. The replacements must give equal edges,
-evidence, floats, labels, trees, scores, URLs and audits, so these keep the
-replaced arithmetic and order."""
+per-decoration labeling with its scan of every request rule, the recursive
+tree grower with its per-feature split search and row-by-row scoring, and
+the sanitizer's scan of every rule for every decoration that
+``graph.detect_exfiltration``, ``features.ViewMetrics``,
+``features.extract_features``, ``labels.label_decorations`` with its
+``RequestRuleIndex``, the array-backed ``forest`` and ``urls.RuleIndex``
+replaced. The replacements must give equal edges, evidence, floats, labels,
+trees, scores, URLs and audits, so these keep the replaced arithmetic and
+order."""
 
 import math
 import random
@@ -16,6 +17,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from linkscrub.errors import UrlParseError
 from linkscrub.features import (AD_KEYWORDS, FEATURE_NAMES, FP_KEYWORDS,
                                 ViewMetrics, shannon_entropy)
 from linkscrub.forest import ForestConfig
@@ -23,8 +25,7 @@ from linkscrub.graph import (DECORATION, ENCODINGS, EXFILTRATION,
                              HEX_ENCODINGS, HTML, INTERACTION, SCRIPT, STORAGE,
                              encode_candidates)
 from linkscrub.labels import (ATS, ATS_PURPOSES, NON_ATS, UNKNOWN,
-                              LabeledDecoration, cookie_purpose,
-                              match_request_filter)
+                              LabeledDecoration, cookie_purpose)
 from linkscrub.urls import (PATH_KIND, QUERY_KIND, _encode_token, decompose,
                             fqdn_pattern_matches, name_decorations,
                             random_token, raw_decorations, with_decorations)
@@ -392,6 +393,21 @@ def reference_features_for_graph(g):
             for dec in sorted(g.decoration_nodes(), key=lambda n: n.id)]
 
 
+def reference_match_request_filter(url, rules):
+    """``labels.match_request_filter`` testing every rule in turn."""
+    try:
+        fqdn = decompose(url).fqdn
+    except UrlParseError:
+        fqdn = ""
+    for rule in rules:
+        if rule.host_anchor is not None:
+            if fqdn_pattern_matches("*." + rule.host_anchor, fqdn):
+                return ATS
+        elif rule.pattern in url:
+            return ATS
+    return NON_ATS
+
+
 def reference_label_decorations(graphs, request_rules=(),
                                 cookie_purpose_db=(), curated_ats=(),
                                 conflicts=None):
@@ -411,8 +427,8 @@ def reference_label_decorations(graphs, request_rules=(),
             dec_id = dec.attrs["decoration"].id
             prov = provenance.setdefault(dec_id, set())
             if (request_rules
-                    and match_request_filter(req.attrs.get("url", ""),
-                                             request_rules) == NON_ATS):
+                    and reference_match_request_filter(
+                        req.attrs.get("url", ""), request_rules) == NON_ATS):
                 prov.add("request-filter-clean")
             for src in exfil_sources.get(dec.id, ()):
                 snode = g.nodes[src]
@@ -540,8 +556,9 @@ def _rule_matches(rule, site, fqdn, key):
 
 def reference_sanitize(url, site, rules, mode="replace", seed=0, audit=None):
     """``urls.sanitize`` testing every rule against every decoration. A
-    ``path|`` key whose level is not an integer names no level, so the audit
-    skips it."""
+    ``path|`` key whose level is not written as decorations are named, in
+    ASCII digits without a leading zero, names no level, so the audit skips
+    it."""
     d = decompose(url)
     rules = list(rules)
     rng = random.Random(seed)
@@ -552,11 +569,9 @@ def reference_sanitize(url, site, rules, mode="replace", seed=0, audit=None):
             if (rule.key.startswith("path|")
                     and rule.scope in ("*", site)
                     and fqdn_pattern_matches(rule.fqdn, d.fqdn)):
-                try:
-                    level = int(rule.key.split("|", 1)[1])
-                except ValueError:
-                    continue
-                if level >= depth:
+                level = rule.key.split("|", 1)[1]
+                if (level.isascii() and level.isdigit()
+                        and str(int(level)) == level and int(level) >= depth):
                     audit.append(
                         f"inapplicable rule {rule.key} (URL depth {depth}): {url}")
 

@@ -1,11 +1,11 @@
 """The indexed exfiltration search, the batched BFS metrics, the features
 computed once per request, the labels matched once per request and
-identity, the array-backed forest and the sanitizer's rule index give
-exactly what the full scan, the per-node BFS, the per-decoration feature and
-label code, the recursive tree code and the scan over every rule in
-``reference_scan`` give: the same edges in the same order with the same
-evidence, equal floats, equal labels, equal trees, equal scores, equal
-sanitized URLs and equal audits."""
+identity through the request-rule index, the array-backed forest and the
+sanitizer's rule index give exactly what the full scan, the per-node BFS,
+the per-decoration feature and label code, the recursive tree code and the
+scan over every rule in ``reference_scan`` give: the same edges in the same
+order with the same evidence, equal floats, equal labels, equal trees, equal
+scores, equal sanitized URLs and equal audits."""
 
 import copy
 import random
@@ -16,6 +16,7 @@ import pytest
 from hypothesis import Phase, find, given, settings, strategies as st
 
 from linkscrub import forest, labels
+from linkscrub.errors import UrlParseError
 from linkscrub.filters import FilterRule
 from linkscrub.features import (_BFS_BLOCK, REQUEST_LEVEL_FEATURES,
                                 ViewMetrics, _ancestors, _GraphIndex,
@@ -32,6 +33,7 @@ from reference_scan import (ReferenceGraphIndex, ReferenceViewMetrics,
                             reference_detect_exfiltration,
                             reference_features_for_graph,
                             reference_label_decorations,
+                            reference_match_request_filter,
                             reference_predict_scores, reference_sanitize,
                             reference_trees)
 
@@ -166,6 +168,31 @@ def test_view_metrics_equal_reference_bfs_across_blocks():
     assert sum(nd.kind == DECORATION for nd in nodes) > 2 * _BFS_BLOCK
     for node in reversed(nodes):
         assert vm.metrics(node.id) == ref.metrics(node.id)
+
+
+def test_view_metrics_memoize_the_closeness_sum_before_dividing():
+    """d1 and d2 share the level vector (2,) in two components of 3 nodes;
+    d3's (2, 1) starts with it in a component of 4, and d4's (1, 1, 1)
+    sits in another component of 4. The memo holds each vector's sum of
+    1/d, and each node divides it by its own component's n - 1. Equal
+    vectors always sit in components of equal size, since n - 1 is the
+    vector's sum, so the memo's content is checked directly."""
+    pairs = [("d1", "a1"), ("d1", "a2"), ("d2", "b1"), ("d2", "b2"),
+             ("d3", "c1"), ("d3", "c2"), ("c1", "c3"),
+             ("d4", "e1"), ("e1", "e2"), ("e2", "e3")]
+    names = sorted({n for pair in pairs for n in pair})
+    nodes = [Node(n, DECORATION if n[0] == "d" else "script") for n in names]
+    edges = [Edge(a, b, "interaction", "creates") for a, b in pairs]
+    vm, ref = ViewMetrics(nodes, edges), ReferenceViewMetrics(nodes, edges)
+    for name in names:
+        assert vm.metrics(name) == ref.metrics(name)
+    closeness = {d: vm.metrics(d)["closeness_centrality"]
+                 for d in ("d1", "d2", "d3", "d4")}
+    assert closeness == {"d1": 1.0, "d2": 1.0, "d3": 2.5 / 3,
+                         "d4": (1 + 1 / 2 + 1 / 3) / 3}
+    assert vm._closeness[(2,)] == 2.0
+    assert vm._closeness[(2, 1)] == 2.5
+    assert vm._closeness[(1, 1, 1)] == 1 + 1 / 2 + 1 / 3
 
 
 _STORED = ["abcdefgh1234", "zyxw9876vuts", "k7"]
@@ -310,6 +337,77 @@ def test_labels_equal_reference_per_decoration(pages, with_sources):
     assert got_conflicts == want_conflicts
 
 
+# -- request-rule index -------------------------------------------------------
+
+_REQUEST_LABELS = ["trk", "xtrk", "a", "example", ""]
+
+
+@st.composite
+def _request_hosts(draw):
+    """A host of one to three labels; ``xtrk`` next to ``trk`` makes near
+    misses at a label boundary, and an empty label makes ``a..b``."""
+    return ".".join(draw(st.lists(st.sampled_from(_REQUEST_LABELS),
+                                  min_size=1, max_size=3)))
+
+
+@st.composite
+def _request_urls(draw):
+    """A URL on a generated host, or one with no host to parse."""
+    if draw(st.integers(0, 5)) == 0:
+        return draw(st.sampled_from(["notaurl", "https:///pixel", ""]))
+    path = draw(st.sampled_from(["", "x", "pixel/a.gif", "trk.example"]))
+    return f"https://{draw(_request_hosts())}/{path}"
+
+
+_request_rule_lists = st.lists(
+    st.builds(labels.RequestRule,
+              st.sampled_from(["pixel", "trk.", "/x", "a."]))
+    | _request_hosts().filter(bool).map(
+        lambda host: labels.RequestRule(f"||{host}^", host)),
+    max_size=5)
+
+
+@settings(max_examples=600, deadline=None)
+@given(_request_urls(), _request_rule_lists, st.booleans())
+def test_request_filter_equals_reference_scan(url, rules, indexed):
+    passed = labels.RequestRuleIndex(rules) if indexed else rules
+    assert (labels.match_request_filter(url, passed)
+            == reference_match_request_filter(url, rules))
+
+
+def _request_filter_cases(url, rules):
+    try:
+        fqdn = decompose(url).fqdn
+    except UrlParseError:
+        fqdn = ""
+    cases = {"empty fqdn"} if not fqdn else set()
+    if fqdn.count(".") >= 2:
+        cases.add("multi-label host")
+    for rule in rules:
+        anchor = rule.host_anchor
+        if anchor is None:
+            if rule.pattern in url:
+                cases.add("substring hit")
+        elif fqdn == anchor:
+            cases.add("the anchor host itself")
+        elif fqdn.endswith("." + anchor):
+            cases.add("subdomain hit")
+        elif fqdn.endswith(anchor):
+            cases.add("near miss at a label boundary")
+    return cases
+
+
+@pytest.mark.parametrize("case", [
+    "empty fqdn", "multi-label host", "substring hit",
+    "the anchor host itself", "subdomain hit",
+    "near miss at a label boundary"])
+def test_request_filter_strategy_reaches(case):
+    find(st.tuples(_request_urls(), _request_rule_lists),
+         lambda args: case in _request_filter_cases(*args),
+         settings=settings(max_examples=5000, deadline=None, database=None,
+                           phases=[Phase.generate]))
+
+
 @st.composite
 def _column(draw, n):
     """One feature column: constant, a few integers with many ties, two
@@ -377,7 +475,8 @@ def test_hundred_tree_scores_equal_reference():
 
 _LABELS = ["a", "b", "trk", "*"]
 _SITES = ["s.example", "t.example"]
-_KEYS = ["uid", "a", "path|0", "path|1", "path|3", "path|x", "fragment"]
+_KEYS = ["uid", "a", "path|0", "path|1", "path|3", "path|x", "path|01",
+         "fragment"]
 
 
 @st.composite

@@ -265,6 +265,32 @@ def test_sanitize_path_key_naming_no_level_is_not_audited():
     assert audit == []
 
 
+@pytest.mark.parametrize("key", ["path|01", "path|+1", "path|\u0661",
+                                 "path| 1", "path|"])
+def test_sanitize_path_key_not_spelled_as_a_level_names_none(key):
+    # decorations are named path|<i> with i in ASCII digits and no leading
+    # zero; any other spelling rewrites no directory level and is never
+    # reported as one, however shallow the URL
+    rule = FilterRule("*", "*", key)
+    for url in ("https://h.example/a/b/c/x", "https://h.example/x"):
+        audit = []
+        assert urls.sanitize(url, "s", [rule], audit=audit) == url
+        assert audit == []
+    audit = []
+    out = urls.sanitize("https://h.example/x?b=1&" + key + "=1234", "s",
+                        [rule], mode="strip", audit=audit)
+    assert out == "https://h.example/x?b=1"
+    assert audit == []
+
+
+def test_sanitize_path_level_zero_and_ten_are_levels():
+    audit = []
+    url = "https://h.example/a/b/c/x"
+    assert urls.sanitize(url, "s", [_rule("path|0")], seed=1) != url
+    assert urls.sanitize(url, "s", [_rule("path|10")], audit=audit) == url
+    assert audit == [f"inapplicable rule path|10 (URL depth 3): {url}"]
+
+
 def test_sanitize_path_imports_no_numpy():
     src = Path(urls.__file__).resolve().parents[1]
     code = ("import sys, linkscrub.urls, linkscrub.filters; "
