@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass, field
 from typing import IO, Optional, Sequence, Union
 
@@ -81,63 +82,73 @@ def balance(y: np.ndarray, seed: int = 0) -> np.ndarray:
     return np.sort(np.concatenate(keep))
 
 
-def _best_split(XT, y, idx, feats):
-    """Best (weighted Gini, feature, threshold) over candidate features.
+def _best_split(codes, values, idx, feats, c1):
+    """The split of least weighted Gini over candidate features, as
+    (feature, threshold, ``[n0, n1]`` of the rows at or below the
+    threshold), or None where no candidate feature takes two values at the
+    node.
 
-    ``XT`` holds one contiguous row per feature. One set of 2-D numpy calls
-    scores every candidate feature of the node, one row each. Ties go to the
-    first minimal split position within a feature, then to the first
-    minimal feature in ``feats`` order."""
+    ``codes[f, i]`` is ``rank * 2 + y[i]``, where ``rank`` is the place of
+    ``X[i, f]`` among ``values[f]``, the sorted distinct values of column
+    ``f``. One integer sort per node orders the rows of every candidate
+    feature by value: the low bit of a sorted code is then the row's label,
+    and the high bits mark the runs of equal values. Within such a run the
+    rows come out ordered by label, not by row, and that cannot change a
+    score: a split falls only between two runs, where the rows and the
+    positives (``c1`` in all) to its left are the same whatever the order
+    within a run. Only those places are scored. Ties go to the first minimal
+    split position within a feature, then to the first minimal feature in
+    ``feats`` order: the first minimum in row-major order."""
     n = len(idx)
-    rows = np.arange(len(feats))
-    xs = XT[feats[:, None], idx]
-    order = xs.argsort(axis=1, kind="stable")
-    xs = xs[rows[:, None], order]
-    pos = y[idx][order].cumsum(axis=1)
-    left_n = np.arange(1, n, dtype=np.float64)
-    left_pos = pos[:, :-1].astype(np.float64)
-    right_n = n - left_n
-    right_pos = pos[:, -1:] - left_pos
-    p_l = left_pos / left_n
-    p_r = right_pos / right_n
-    gini_l = 1.0 - p_l ** 2 - (1.0 - p_l) ** 2
-    gini_r = 1.0 - p_r ** 2 - (1.0 - p_r) ** 2
-    score = (left_n * gini_l + right_n * gini_r) / n
-    # the rows are sorted, so equal neighbours cannot be split apart
-    score[xs[:, :-1] == xs[:, 1:]] = np.inf
-    j = score.argmin(axis=1)
-    best = score[rows, j]
-    c = int(best.argmin())
-    if not np.isfinite(best[c]):
-        return np.inf, -1, 0.0
-    lo, hi = float(xs[c, j[c]]), float(xs[c, j[c] + 1])
+    keys = codes.take(feats[:, None] * codes.shape[1] + idx)
+    keys.sort(axis=1)
+    rank = keys >> 1
+    row, col = np.nonzero(rank[:, :-1] != rank[:, 1:])
+    if not len(col):
+        return None
+    # row 0 holds the left side of each split, row 1 the right side
+    size = np.empty((2, len(col)))
+    size[0] = col + 1
+    np.subtract(n, size[0], out=size[1])
+    pos = np.empty((2, len(col)))
+    pos[0] = (keys & 1).cumsum(axis=1)[row, col]
+    np.subtract(c1, pos[0], out=pos[1])
+    p = pos / size
+    gini = size * (1.0 - p ** 2 - (1.0 - p) ** 2)
+    b = int(((gini[0] + gini[1]) / n).argmin())
+    c, j = int(row[b]), int(col[b])
+    f = int(feats[c])
+    lo, hi = values[f][rank[c, j:j + 2]].tolist()
     t = (lo + hi) / 2.0
     # between adjacent floats the midpoint rounds to one of them; a sum of
     # two huge values overflows
     if not lo <= t < hi:
         t = lo
-    return float(best[c]), int(feats[c]), t
+    left_c1 = int(pos[0, b])
+    return f, t, [j + 1 - left_c1, left_c1]
 
 
-def _grow_tree(XT, y, idx, rng, cfg: ForestConfig, k: int) -> dict:
+def _grow_tree(XT, codes, values, y, idx, rng, cfg: ForestConfig,
+               k: int) -> dict:
     """Grow one tree from an explicit stack, so depth is not limited by
     recursion. The left child is popped first: nodes are visited in
     pre-order, the order in which their feature draws come from ``rng``."""
-    root: dict = {}
+    root = {"counts": np.bincount(y[idx], minlength=2).tolist()}
     stack = [(root, idx, 0)]
     while stack:
         node, idx, depth = stack.pop()
-        c0, c1 = np.bincount(y[idx], minlength=2).tolist()
-        node["counts"] = [c0, c1]
+        c0, c1 = node["counts"]
         if (len(idx) < cfg.min_split_size or c0 == 0 or c1 == 0
                 or (cfg.max_depth is not None and depth >= cfg.max_depth)):
             continue
         feats = rng.choice(XT.shape[0], size=k, replace=False)
-        score, f, t = _best_split(XT, y, idx, feats)
-        if not np.isfinite(score):
+        split = _best_split(codes, values, idx, feats, c1)
+        if split is None:
             continue
+        f, t, (l0, l1) = split
         go_left = XT[f, idx] <= t
-        node.update(f=f, t=t, left={}, right={})
+        node.update(f=f, t=t, left={"counts": [l0, l1]},
+                    right={"counts": [c0 - l0, c1 - l1]})
         stack.append((node["right"], idx[~go_left], depth + 1))
         stack.append((node["left"], idx[go_left], depth + 1))
     return root
@@ -156,14 +167,23 @@ def train(X: np.ndarray, y: np.ndarray, cfg: ForestConfig,
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.tree_count)
     trees = []
     n = X.shape[0]
-    XT = np.ascontiguousarray(X.T)  # a node gathers and sorts whole rows
+    XT = np.ascontiguousarray(X.T)
+    # one row of rank codes per feature; equal values, -0.0 and 0.0 too,
+    # share a rank
+    codes = np.empty(XT.shape, dtype=np.int32 if 2 * n < 2 ** 31
+                     else np.int64)
+    values = []
+    for f, column in enumerate(XT):
+        distinct, rank = np.unique(column, return_inverse=True)
+        codes[f] = rank * 2 + y
+        values.append(distinct)
     for seq in seeds:
         rng = np.random.default_rng(seq)
         if cfg.bootstrap:
             idx = rng.integers(0, n, size=n)
         else:
             idx = np.arange(n)
-        trees.append(_grow_tree(XT, y, idx, rng, cfg, k))
+        trees.append(_grow_tree(XT, codes, values, y, idx, rng, cfg, k))
     return Forest(trees, tuple(feature_names), feature_version, cfg)
 
 
@@ -239,24 +259,24 @@ def decompose_prediction(forest: Forest, x: np.ndarray):
     array, and prior + contributions.sum() equals the score exactly up to
     float summation order.
     """
-    x = np.asarray(x, dtype=np.float64)
-    d = len(forest.feature_names)
-    contrib = np.zeros(d)
+    x = np.asarray(x, dtype=np.float64).tolist()
+    contrib = [0.0] * len(forest.feature_names)
     prior = 0.0
     score = 0.0
     n_trees = len(forest.trees)
-    for tree in forest.trees:
-        node = tree
-        p = _node_p1(node)
+    for node in forest.trees:
+        c0, c1 = node["counts"]
+        p = c1 / (c0 + c1)
         prior += p
         while "f" in node:
-            child = node["left"] if x[node["f"]] <= node["t"] else node["right"]
-            p_child = _node_p1(child)
-            contrib[node["f"]] += (p_child - p) / n_trees
+            f = node["f"]
+            node = node["left"] if x[f] <= node["t"] else node["right"]
+            c0, c1 = node["counts"]
+            p_child = c1 / (c0 + c1)
+            contrib[f] += (p_child - p) / n_trees
             p = p_child
-            node = child
         score += p
-    return prior / n_trees, contrib, score / n_trees
+    return prior / n_trees, np.array(contrib), score / n_trees
 
 
 def feature_importance(forest: Forest, X: np.ndarray
@@ -442,9 +462,18 @@ _CONFIG_FIELDS = {
 }
 
 
+def _is_threshold(t) -> bool:
+    """A JSON number that a float64 holds exactly: not NaN, not an infinity
+    and not an integer that rounds when ``predict_scores`` compares in
+    floats."""
+    return (type(t) in (int, float) and -sys.float_info.max <= t
+            <= sys.float_info.max and float(t) == t)
+
+
 def _check_tree(tree, n_features: int, where: str) -> None:
     """Raise InputError unless every node of ``tree`` has class counts with
-    a positive sum and every split names a feature and a threshold."""
+    a positive sum and every split names a feature and a finite
+    threshold."""
     stack = [tree]
     while stack:
         node = stack.pop()
@@ -457,9 +486,10 @@ def _check_tree(tree, n_features: int, where: str) -> None:
         if "f" in node:
             f, t = node["f"], node.get("t")
             if not (type(f) is int and 0 <= f < n_features
-                    and type(t) in (int, float)):
+                    and _is_threshold(t)):
                 raise InputError(f"{where}: split needs a feature index "
-                                 f"below {n_features} and a threshold")
+                                 f"below {n_features} and a finite threshold, "
+                                 f"not {f!r:.20} and {t!r:.40}")
             stack += [node.get("left"), node.get("right")]
 
 

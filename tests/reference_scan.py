@@ -1,13 +1,14 @@
 """Test-only references: the quadratic exfiltration scan, the per-node BFS
 structural metrics, the per-decoration feature extraction, the
 per-decoration labeling with its scan of every request rule, the recursive
-tree grower with its per-feature split search and row-by-row scoring, and
-the sanitizer's scan of every rule for every decoration that
-``graph.detect_exfiltration``, ``features.ViewMetrics``,
-``features.extract_features``, ``labels.label_decorations`` with its
-``RequestRuleIndex``, the array-backed ``forest`` and ``urls.RuleIndex``
-replaced. The replacements must give equal edges, evidence, floats, labels,
-trees, scores, URLs and audits, so these keep the replaced arithmetic and
+tree grower with its per-feature float split search, row-by-row scoring and
+the explanation that adds into a numpy array, and the sanitizer's scan of
+every rule for every decoration that ``graph.detect_exfiltration``,
+``features.ViewMetrics``, ``features.extract_features``,
+``labels.label_decorations`` with its ``RequestRuleIndex``, the array-backed
+and rank-coded ``forest`` and ``urls.RuleIndex`` replaced. The replacements
+must give equal edges, evidence, floats, labels, trees, scores,
+explanations, URLs and audits, so these keep the replaced arithmetic and
 order."""
 
 import math
@@ -544,6 +545,39 @@ def reference_predict_scores(trees, X):
     for i in range(X.shape[0]):
         out[i] = float(np.mean([_reference_leaf_p1(t, X[i]) for t in trees]))
     return out
+
+
+def _reference_node_p1(node):
+    c0, c1 = node["counts"]
+    return c1 / (c0 + c1)
+
+
+def reference_decompose_prediction(forest, x):
+    """Path-contribution decomposition of one prediction.
+
+    Returns (prior, contributions, score) where ``prior`` is the mean
+    root-leaf-proportion across trees, ``contributions`` is a per-feature
+    array, and prior + contributions.sum() equals the score exactly up to
+    float summation order.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    d = len(forest.feature_names)
+    contrib = np.zeros(d)
+    prior = 0.0
+    score = 0.0
+    n_trees = len(forest.trees)
+    for tree in forest.trees:
+        node = tree
+        p = _reference_node_p1(node)
+        prior += p
+        while "f" in node:
+            child = node["left"] if x[node["f"]] <= node["t"] else node["right"]
+            p_child = _reference_node_p1(child)
+            contrib[node["f"]] += (p_child - p) / n_trees
+            p = p_child
+            node = child
+        score += p
+    return prior / n_trees, contrib, score / n_trees
 
 
 def _rule_matches(rule, site, fqdn, key):

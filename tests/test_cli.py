@@ -255,6 +255,9 @@ MALFORMED_INPUTS = {
     "model node without counts": ({"model.json": _model([{}]),
                                    "m.csv": _matrix(_ROW)}, _PREDICT,
                                   "model tree 0"),
+    "model with a NaN threshold": (
+        {"model.json": _model([{**_SPLIT, "f": 0, "t": float("nan")}]),
+         "m.csv": _matrix(_ROW)}, _PREDICT, "model tree 0: split needs"),
     "model of other features": (
         {"model.json": _model([_SPLIT], ["f"] * 51), "m.csv": _matrix(_ROW)},
         _PREDICT, "feature names"),

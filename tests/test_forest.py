@@ -172,6 +172,20 @@ def test_load_rejects_unknown_format():
         forest.load_forest(io.StringIO('{"format": 99}'))
 
 
+@pytest.mark.parametrize("threshold", [
+    "NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400,
+    str(2 ** 53 + 3)])
+def test_load_rejects_a_threshold_no_float_holds(threshold):
+    # every row would go right of a NaN threshold; a huge integer does not
+    # convert to a float, and 2**53 + 3 rounds to 2**53 + 4
+    tree = ('{"counts": [1, 1], "f": 0, "t": %s, "left": {"counts": [1, 0]}, '
+            '"right": {"counts": [0, 1]}}' % threshold)
+    text = ('{"format": 1, "feature_names": ["a"], "feature_version": "1", '
+            '"config": {}, "trees": [{"counts": [1, 0]}, %s]}' % tree)
+    with pytest.raises(InputError, match="model tree 1: .*finite threshold"):
+        forest.load_forest(io.StringIO(text))
+
+
 def test_predict_rejects_feature_version_mismatch():
     X, y = _toy_data(n=50, seed=8)
     model = forest.train(X, y, forest.ForestConfig(tree_count=2), ["a"] * 5,

@@ -1,14 +1,17 @@
 """The indexed exfiltration search, the batched BFS metrics, the features
 computed once per request, the labels matched once per request and
-identity through the request-rule index, the array-backed forest and the
-sanitizer's rule index give exactly what the full scan, the per-node BFS,
-the per-decoration feature and label code, the recursive tree code and the
-scan over every rule in ``reference_scan`` give: the same edges in the same
-order with the same evidence, equal floats, equal labels, equal trees, equal
-scores, equal sanitized URLs and equal audits."""
+identity through the request-rule index, the array-backed and rank-coded
+forest with its list-based explanations and the sanitizer's rule index give
+exactly what the full scan, the per-node BFS, the per-decoration feature
+and label code, the recursive tree code and the scan over every rule in
+``reference_scan`` give: the same edges in the same order with the same
+evidence, equal floats, equal labels, equal trees and model bytes, equal
+scores and explanations, equal sanitized URLs and equal audits."""
 
 import copy
+import json
 import random
+from unittest import mock
 from urllib.parse import quote
 
 import numpy as np
@@ -30,6 +33,7 @@ from linkscrub.urls import (RuleIndex, decompose, decoded_decorations,
 
 from conftest import TraceBuilder
 from reference_scan import (ReferenceGraphIndex, ReferenceViewMetrics,
+                            reference_decompose_prediction,
                             reference_detect_exfiltration,
                             reference_features_for_graph,
                             reference_label_decorations,
@@ -410,13 +414,18 @@ def test_request_filter_strategy_reaches(case):
 
 @st.composite
 def _column(draw, n):
-    """One feature column: constant, a few integers with many ties, two
-    adjacent floats, or spread floats."""
-    kind = draw(st.sampled_from(["constant", "integer", "adjacent", "float"]))
+    """One feature column: constant, a few integers with many ties, signed
+    zeros, two adjacent floats, or spread floats."""
+    kind = draw(st.sampled_from(["constant", "integer", "zeros", "adjacent",
+                                 "float"]))
     if kind == "constant":
         return [draw(st.integers(-2, 2))] * n
     if kind == "integer":
         return draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    if kind == "zeros":
+        # -0.0 == 0.0, so the two share a run of equal values
+        return draw(st.lists(st.sampled_from([-0.0, 0.0, 1.0]), min_size=n,
+                             max_size=n))
     if kind == "adjacent":
         low = draw(st.floats(-1e6, 1e6))
         pair = [low, float(np.nextafter(low, np.inf))]
@@ -448,11 +457,38 @@ def _forests(draw):
 def test_forest_equals_reference_recursive_trees(case):
     X, y, cfg = case
     model = forest.train(X, y, cfg, [f"f{i}" for i in range(X.shape[1])])
-    assert model.trees == reference_trees(X, y, cfg)
-    # the training rows, and rows between and beyond them
-    rows = np.vstack([X, (X + X[::-1]) / 2, X * 2 + 1])
+    expected = reference_trees(X, y, cfg)
+    assert model.trees == expected
+    # dict == holds for -0.0 == 0.0; the bytes of model.json would differ
+    assert (json.dumps(model.trees, sort_keys=True)
+            == json.dumps(expected, sort_keys=True))
+    rows = _rows_around(X)
     assert (forest.predict_scores(model, rows)
             == reference_predict_scores(model.trees, rows)).all()
+
+
+def _rows_around(X):
+    """The training rows, and rows between and beyond them."""
+    return np.vstack([X, (X + X[::-1]) / 2, X * 2 + 1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_forests())
+def test_explanations_equal_reference_dict_walk(case):
+    X, y, cfg = case
+    model = forest.train(X, y, cfg, [f"f{i}" for i in range(X.shape[1])])
+    rows = _rows_around(X)
+    for x in rows:
+        prior, contrib, score = forest.decompose_prediction(model, x)
+        ref_prior, ref_contrib, ref_score = reference_decompose_prediction(
+            model, x)
+        assert prior == ref_prior and score == ref_score
+        assert contrib.dtype == ref_contrib.dtype
+        assert (contrib == ref_contrib).all()
+    with mock.patch.object(forest, "decompose_prediction",
+                           reference_decompose_prediction):
+        expected = forest.feature_importance(model, rows)
+    assert forest.feature_importance(model, rows) == expected
 
 
 def test_hundred_tree_scores_equal_reference():
