@@ -28,15 +28,11 @@ from .urls import DecorationId, sanitize as sanitize_url
 @click.option("--threshold", default=0.5, show_default=True, type=float,
               help="Classifier score at or above which a decoration is "
                    "flagged.")
-@click.option("--format-version", default=None, type=str,
-              help="Expected feature-vector version for model/matrix "
-                   "compatibility checks.")
 @click.pass_context
-def main(ctx, seed, min_value_len, threshold, format_version):
+def main(ctx, seed, min_value_len, threshold):
     """Link-decoration analysis and sanitization toolkit."""
     ctx.obj = {"seed": seed, "min_value_len": min_value_len,
-               "threshold": threshold,
-               "format_version": format_version or features.FEATURE_VERSION}
+               "threshold": threshold}
 
 
 def run() -> None:
@@ -202,7 +198,7 @@ def train(obj, matrix, labels_fh, trees, seed, output):
     cfg = _forest_config(obj, trees, seed)
     keep = forest.balance(y, seed=cfg.seed)
     model = forest.train(X[keep], y[keep], cfg, features.FEATURE_NAMES,
-                         feature_version=obj["format_version"])
+                         feature_version=features.FEATURE_VERSION)
     forest.save_forest(model, output)
     click.echo(f"trained {trees} trees on {len(keep)} balanced rows",
                err=True)
@@ -224,14 +220,14 @@ def cv(obj, matrix, labels_fh, folds, trees, seed):
     click.echo(report.to_text(), nl=False)
 
 
-def _load_model(obj, fh):
+def _load_model(fh):
     """Load a model, refusing one trained for another feature version or
     on other features than the matrix columns."""
     fmodel = forest.load_forest(fh)
-    if fmodel.feature_version != obj["format_version"]:
+    if fmodel.feature_version != features.FEATURE_VERSION:
         raise InputError(
             f"model feature version {fmodel.feature_version} does not match "
-            f"expected {obj['format_version']}")
+            f"expected {features.FEATURE_VERSION}")
     if fmodel.feature_names != features.FEATURE_NAMES:
         raise InputError("model feature names differ from the matrix columns")
     return fmodel
@@ -246,7 +242,7 @@ def _load_model(obj, fh):
 @click.pass_obj
 def predict(obj, model, matrix, explain, output):
     """Score every matrix row with a trained model."""
-    fmodel = _load_model(obj, model)
+    fmodel = _load_model(model)
     meta, X = features.read_feature_matrix(matrix)
     scores = forest.predict_scores(fmodel, X) if len(meta) else []
     output.write("site,fqdn,key,kind,score,label\n")
@@ -277,7 +273,7 @@ def _predictions_from(meta, scores):
 @click.pass_obj
 def emit_list(obj, model, matrix, action, output):
     """Emit a native filter list from model predictions over a matrix."""
-    fmodel = _load_model(obj, model)
+    fmodel = _load_model(model)
     meta, X = features.read_feature_matrix(matrix)
     scores = forest.predict_scores(fmodel, X) if len(meta) else []
     rules = filters.emit_filter_list(

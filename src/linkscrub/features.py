@@ -7,7 +7,9 @@ parent script and that script's storage and requests, the redirect chain
 and the request's infiltrations) depend only on the decoration's request.
 They are computed once per request and shared by its decorations; the other
 25 (both views' metrics, depth, entropy, URL section, and the exfiltrated
-storage and its setters) once per decoration.
+storage and its setters) once per decoration. Each view's metrics come
+from one search of the view: a batched BFS whose levels also give each
+component's size and, with the degrees, its edge count.
 
 The feature name list is fixed and versioned; the matrix file writer embeds
 the version in every feature column header.
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import csv
 import math
-from collections import Counter, defaultdict, deque
+from collections import Counter, defaultdict
 from itertools import chain, repeat
 from typing import IO, Callable, Iterable, Optional
 
@@ -120,15 +122,18 @@ _BFS_BLOCK = 256
 
 
 def _level_counts(indptr: np.ndarray, indices: np.ndarray,
-                  sources: list[int]) -> list[list[int]]:
+                  degrees: np.ndarray,
+                  sources: list[int]) -> list[tuple[list[int], int]]:
     """For each source, how many nodes lie at distance 1, 2, ... up to its
     eccentricity, in the undirected graph with CSR adjacency (indptr,
-    indices).
+    indices), and the sum of ``degrees`` (float64) over its component.
 
     Level-synchronous BFS from a block of sources at once: bit j of a node's
     row says whether source j has reached it, and one level ORs the rows of
     each node's neighbours. Bitwise operations on the uint64 view act on
-    the packed bytes alike, whatever the byte order.
+    the packed bytes alike, whatever the byte order. The final ``seen`` bits
+    are each source's component; one float64 product sums its degrees,
+    exactly below 2**53.
     """
     n = len(indptr) - 1
     linked = np.flatnonzero(np.diff(indptr))
@@ -156,8 +161,11 @@ def _level_counts(indptr: np.ndarray, indices: np.ndarray,
             frontier = reached
         per_source = np.array(levels, dtype=np.int64).reshape(
             len(levels), len(block)).T.tolist()
+        degree_sums = (degrees @ np.unpackbits(
+            seen.view(np.uint8), axis=1, bitorder="little")[:, :len(block)])
         # a source's levels are non-empty up to its eccentricity, then empty
-        out.extend(c[:len(c) - c.count(0)] for c in per_source)
+        out.extend((c[:len(c) - c.count(0)], degree_sum) for c, degree_sum
+                   in zip(per_source, degree_sums.astype(np.int64).tolist()))
     return out
 
 
@@ -165,77 +173,44 @@ class ViewMetrics:
     """Structural metrics over one view (node list + edge list) of a graph.
 
     Multi-edges count toward degrees and edge counts; shortest paths use the
-    simple undirected projection. Components are discovered lazily; the
-    first edge count labels every node's component and counts each
-    component's edges in one pass.
-
-    Closeness and eccentricity need, per node, how many nodes lie at each
-    distance. The first ``metrics`` call gets them for every decoration of
-    the view from one multi-source BFS (``_level_counts``) over CSR
-    adjacency: O(eccentricity x (edges + nodes) x decorations / block)
-    vectorised steps, instead of one Python BFS per decoration. Any other
-    node gets a BFS of its own when asked. Closeness adds 1/d once per node
-    at distance d, in ascending d: the terms, and their order, of a sum over
-    a per-node BFS, so Python's ``sum`` gives the same float. That sum is
-    kept per distinct level vector, before it is divided by n - 1.
+    simple undirected projection. One search answers everything: the first
+    ``metrics`` call runs one multi-source BFS (``_level_counts``) from every
+    decoration of the view, in O(eccentricity x (edges + nodes) x
+    decorations / block) vectorised steps; any other node gets a BFS of its
+    own when asked. A node's component has 1 + sum(levels) nodes and half
+    its degree sum in edges, since each edge, a self-loop too, adds 2 to it.
+    Closeness adds 1/d once per node at distance d, in ascending d: the
+    terms, and their order, of a sum over a per-node BFS, so Python's
+    ``sum`` gives the same float. That sum is kept per distinct level
+    vector, before it is divided by n - 1.
     """
 
     def __init__(self, nodes, edges):
         nodes = list(nodes)
         self.node_ids = {n.id for n in nodes}
-        self.edges = list(edges)
         self.adj: dict[str, set] = {nid: set() for nid in self.node_ids}
         self.multi_degree: dict[str, int] = {nid: 0 for nid in self.node_ids}
         self.in_degree: dict[str, int] = {nid: 0 for nid in self.node_ids}
         self.out_degree: dict[str, int] = {nid: 0 for nid in self.node_ids}
-        for e in self.edges:
+        for e in edges:
             self.adj[e.src].add(e.dst)
             self.adj[e.dst].add(e.src)
             self.out_degree[e.src] += 1
             self.in_degree[e.dst] += 1
             self.multi_degree[e.src] += 1
             self.multi_degree[e.dst] += 1
-        self._component_of: dict[str, frozenset] = {}
-        self._component_edges: Optional[Counter] = None
         self._decorations = [n.id for n in nodes if n.kind == DECORATION]
-        self._levels: dict[str, list[int]] = {}
+        # node -> (level counts, multi-degree sum of its component)
+        self._searched: dict[str, tuple[list[int], int]] = {}
         # level vector -> closeness sum before dividing by n - 1
         self._closeness: dict[tuple, float] = {}
 
-    def __contains__(self, node_id: str) -> bool:
-        return node_id in self.node_ids
-
-    def component(self, node_id: str) -> frozenset:
-        cached = self._component_of.get(node_id)
-        if cached is not None:
-            return cached
-        seen = {node_id}
-        queue = deque([node_id])
-        while queue:
-            cur = queue.popleft()
-            for nxt in self.adj[cur]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-        comp = frozenset(seen)
-        for nid in comp:
-            self._component_of[nid] = comp
-        return comp
-
-    def component_edge_count(self, comp: frozenset) -> int:
-        if self._component_edges is None:
-            # every node's component, then one pass over the edges
-            for nid in self.node_ids:
-                self.component(nid)
-            self._component_edges = Counter(
-                self._component_of[e.src] for e in self.edges)
-        return self._component_edges[comp]
-
-    def level_counts(self, node_id: str) -> list[int]:
-        """How many nodes lie at distance 1, 2, ... from ``node_id``."""
-        if node_id not in self._levels:
+    def search(self, node_id: str) -> tuple[list[int], int]:
+        """How many nodes lie at distance 1, 2, ... from ``node_id``, and
+        the multi-degree sum of its component."""
+        if node_id not in self._searched:
             sources = [node_id]
-            if not self._levels:
+            if not self._searched:
                 sources += [d for d in self._decorations if d != node_id]
             order = list(self.adj)
             position = {nid: i for i, nid in enumerate(order)}
@@ -244,28 +219,21 @@ class ViewMetrics:
             indices = np.fromiter(
                 (position[m] for nid in order for m in self.adj[nid]),
                 dtype=np.intp, count=int(indptr[-1]))
-            self._levels.update(zip(sources, _level_counts(
-                indptr, indices, [position[s] for s in sources])))
-        return self._levels[node_id]
+            degrees = np.array([self.multi_degree[nid] for nid in order],
+                               dtype=np.float64)
+            self._searched.update(zip(sources, _level_counts(
+                indptr, indices, degrees, [position[s] for s in sources])))
+        return self._searched[node_id]
 
     def metrics(self, node_id: str, prefix: str = "") -> dict[str, float]:
         if node_id not in self.node_ids:
-            return {
-                prefix + "node_count": 0.0,
-                prefix + "edge_count": 0.0,
-                prefix + "nodes_per_edge": 0.0,
-                prefix + "in_degree": 0.0,
-                prefix + "out_degree": 0.0,
-                prefix + "degree": 0.0,
-                prefix + "avg_degree_connectivity": 0.0,
-                prefix + "closeness_centrality": 0.0,
-                prefix + "eccentricity": 0.0,
-            }
-        comp = self.component(node_id)
-        n_nodes = len(comp)
-        n_edges = self.component_edge_count(comp)
-        levels = self.level_counts(node_id)
-        if n_nodes > 1:
+            # the nine view metrics lead FEATURE_NAMES, in this order
+            return dict.fromkeys([prefix + n for n in FEATURE_NAMES[:9]], 0.0)
+        levels, degree_sum = self.search(node_id)
+        n_nodes = 1 + sum(levels)
+        n_edges = degree_sum // 2
+        closeness = 0.0
+        if levels:
             key = tuple(levels)
             closeness = self._closeness.get(key)
             if closeness is None:
@@ -273,10 +241,6 @@ class ViewMetrics:
                     repeat(1.0 / d, count)
                     for d, count in enumerate(levels, 1)))
             closeness /= (n_nodes - 1)
-            eccentricity = float(len(levels))
-        else:
-            closeness = 0.0
-            eccentricity = 0.0
         neighbors = self.adj[node_id]
         if neighbors:
             adc = sum(self.multi_degree[v] for v in neighbors) / len(neighbors)
@@ -291,7 +255,7 @@ class ViewMetrics:
             prefix + "degree": float(self.multi_degree[node_id]),
             prefix + "avg_degree_connectivity": adc,
             prefix + "closeness_centrality": closeness,
-            prefix + "eccentricity": eccentricity,
+            prefix + "eccentricity": float(len(levels)),
         }
 
 

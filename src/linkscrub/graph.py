@@ -158,7 +158,10 @@ def build_graph(t: Trace) -> PageGraph:
     """Build the interaction graph of a validated trace.
 
     One storage node per (store, key), one script node per script, one network
-    node per request and per response, interaction edges per event.
+    node per request and per response, interaction edges per event. A
+    response's header-set entries (``set_storage``) are writes of their
+    storage nodes at the response's seq, so exfiltration sees them. A
+    request's later responses merge into the first one's node.
     """
     g = PageGraph(t.site, t.page_url)
     for ev in t.events:
@@ -197,6 +200,15 @@ def build_graph(t: Trace) -> PageGraph:
         elif ev.kind == "response":
             rid = _request_node_id(p["request_id"])
             nid = _response_node_id(p["request_id"])
+            if nid not in g.nodes:
+                # the header-set entries the node keeps are storage writes
+                # at its seq; detect_infiltration adds their header edges
+                for entry in p.get("set_storage", []):
+                    node = g.ensure_node(
+                        _storage_node_id(entry["store"], entry["key"]),
+                        STORAGE, store=entry["store"], key=entry["key"])
+                    node.attrs.setdefault("writes", []).append(
+                        (ev.seq, entry.get("value", "")))
             g.ensure_node(
                 nid, NETWORK, direction="response",
                 request_id=p["request_id"], status=p.get("status", 0),
@@ -403,19 +415,13 @@ def detect_exfiltration(g: PageGraph,
             if seq < req_seq:
                 hits.append(((ri, si, vi, di), storage_nodes[si].id, hit))
     hits.sort(key=lambda h: h[0])
-    for (_ri, _si, _vi, di), storage_id, hit in hits:
-        g.add_edge(storage_id, decorations[di].id, EXFILTRATION, evidence=hit)
-    # keep at most one edge per (storage, decoration) pair
+    # keep the first hit per (storage, decoration) pair
     seen = set()
-    deduped = []
-    for e in g.edges:
-        if e.kind == EXFILTRATION:
-            pair = (e.src, e.dst)
-            if pair in seen:
-                continue
-            seen.add(pair)
-        deduped.append(e)
-    g.edges = deduped
+    for (_ri, si, _vi, di), storage_id, hit in hits:
+        if (si, di) not in seen:
+            seen.add((si, di))
+            g.add_edge(storage_id, decorations[di].id, EXFILTRATION,
+                       evidence=hit)
     return g
 
 
@@ -439,12 +445,8 @@ def detect_infiltration(g: PageGraph) -> PageGraph:
 
     for resp in responses:
         for entry in resp.attrs.get("set_storage", []):
-            node = g.ensure_node(
-                _storage_node_id(entry["store"], entry["key"]), STORAGE,
-                store=entry["store"], key=entry["key"])
-            node.attrs.setdefault("writes", []).append(
-                (resp.attrs.get("seq", 0), entry.get("value", "")))
-            add(resp.id, node.id, ("header", None))
+            add(resp.id, _storage_node_id(entry["store"], entry["key"]),
+                ("header", None))
         payload = resp.attrs.get("payload", "")
         if not payload:
             continue

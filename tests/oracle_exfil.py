@@ -50,11 +50,18 @@ def oracle_exfil_pairs(trace, min_len=8):
     """Expected (storage_node_id, decoration_node_id) exfiltration pairs."""
     storage = {}
     requests = []
+    responded = set()
     for ev in trace.events:
         p = ev.payload
         if ev.kind == "storage_set":
             storage.setdefault((p["store"], p["key"]), []).append(
                 (ev.seq, p.get("value", "")))
+        elif ev.kind == "response" and p["request_id"] not in responded:
+            # a request's first response sets its header storage entries
+            responded.add(p["request_id"])
+            for entry in p.get("set_storage", []):
+                storage.setdefault((entry["store"], entry["key"]), []).append(
+                    (ev.seq, entry.get("value", "")))
         elif ev.kind == "storage_get" and "value" in p:
             storage.setdefault((p["store"], p["key"]), []).append(
                 (ev.seq, p["value"]))

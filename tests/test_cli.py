@@ -177,10 +177,13 @@ def test_emit_list_refuses_other_feature_version(corpus, tmp_path):
     assert runner.invoke(main, ["features", *traces, "-o",
                                 str(matrix)]).exit_code == 0
     result = runner.invoke(main, [
-        "--format-version", "2", "train", "--matrix", str(matrix),
+        "train", "--matrix", str(matrix),
         "--labels", str(root / "labels.csv"), "--trees", "5",
         "-o", str(model)])
     assert result.exit_code == 0, result.output
+    saved = json.loads(model.read_text(encoding="utf-8"))
+    saved["feature_version"] = "2"
+    model.write_text(json.dumps(saved), encoding="utf-8")
     proc = subprocess.run(
         [sys.executable, "-m", "linkscrub.cli", "emit-list",
          "--model", str(model), "--matrix", str(matrix)],

@@ -155,6 +155,19 @@ def test_infiltration_header_set(tb):
     assert g.nodes["network:req:r1"].attrs["infiltrations"] == 1
 
 
+def test_header_set_cookie_is_exfiltrated_by_a_later_request(tb):
+    t = (tb.request("s1", "r1", "https://t.example/p")
+         .response("r1", set_storage=[
+             {"store": "cookie", "key": "uid", "value": "hdr12345678"}])
+         .request("s1", "r2", "https://t.example/c?uid=hdr12345678")
+         .build())
+    g = build_full_graph(t)
+    pair = ("storage:cookie:uid", "decoration:r2:query:0")
+    assert ("network:resp:r1", pair[0]) in _edges(g, kind=INFILTRATION)
+    assert _edges(g, kind=EXFILTRATION) == [pair]
+    assert oracle_exfil_pairs(t) == {pair}
+
+
 def test_infiltration_script_write_needs_payload_and_order(tb):
     t = (tb.request("s1", "r1", "https://t.example/p")
          .response("r1", payload_text="token=serverid1")
