@@ -178,24 +178,21 @@ def _join_matrix_labels(matrix_fh, labels_fh):
             np.array(y, dtype=np.int64), kinds)
 
 
-def _forest_config(obj, trees, seed):
-    return forest.ForestConfig(
-        tree_count=trees,
-        seed=obj["seed"] if seed is None else seed,
-        threshold=obj["threshold"])
+def _forest_config(obj, trees):
+    return forest.ForestConfig(tree_count=trees, seed=obj["seed"],
+                               threshold=obj["threshold"])
 
 
 @main.command()
 @click.option("--matrix", type=click.File("r"), required=True)
 @click.option("--labels", "labels_fh", type=click.File("r"), required=True)
 @click.option("--trees", default=100, show_default=True, type=int)
-@click.option("--train-seed", "seed", default=None, type=int)
 @click.option("-o", "--output", type=click.File("w"), required=True)
 @click.pass_obj
-def train(obj, matrix, labels_fh, trees, seed, output):
+def train(obj, matrix, labels_fh, trees, output):
     """Train a random forest on labeled feature rows (class-balanced)."""
     _meta, X, y, _kinds = _join_matrix_labels(matrix, labels_fh)
-    cfg = _forest_config(obj, trees, seed)
+    cfg = _forest_config(obj, trees)
     keep = forest.balance(y, seed=cfg.seed)
     model = forest.train(X[keep], y[keep], cfg, features.FEATURE_NAMES,
                          feature_version=features.FEATURE_VERSION)
@@ -209,12 +206,11 @@ def train(obj, matrix, labels_fh, trees, seed, output):
 @click.option("--labels", "labels_fh", type=click.File("r"), required=True)
 @click.option("--folds", default=10, show_default=True, type=int)
 @click.option("--trees", default=100, show_default=True, type=int)
-@click.option("--cv-seed", "seed", default=None, type=int)
 @click.pass_obj
-def cv(obj, matrix, labels_fh, folds, trees, seed):
+def cv(obj, matrix, labels_fh, folds, trees):
     """Stratified k-fold cross-validation with per-kind breakdown."""
     _meta, X, y, kinds = _join_matrix_labels(matrix, labels_fh)
-    cfg = _forest_config(obj, trees, seed)
+    cfg = _forest_config(obj, trees)
     report = forest.cross_validate(X, y, cfg, features.FEATURE_NAMES,
                                    k=folds, seed=cfg.seed, kinds=kinds)
     click.echo(report.to_text(), nl=False)
@@ -244,7 +240,8 @@ def predict(obj, model, matrix, explain, output):
     """Score every matrix row with a trained model."""
     fmodel = _load_model(model)
     meta, X = features.read_feature_matrix(matrix)
-    scores = forest.predict_scores(fmodel, X) if len(meta) else []
+    # Python floats, so that each score prints as its repr under any numpy
+    scores = forest.predict_scores(fmodel, X).tolist() if len(meta) else []
     output.write("site,fqdn,key,kind,score,label\n")
     for i, (row, score) in enumerate(zip(meta, scores)):
         lab = "ATS" if score >= obj["threshold"] else "NonATS"
@@ -267,17 +264,15 @@ def _predictions_from(meta, scores):
 @main.command("emit-list")
 @click.option("--model", type=click.File("r"), required=True)
 @click.option("--matrix", type=click.File("r"), required=True)
-@click.option("--action", default="replace", show_default=True,
-              type=click.Choice(["replace", "strip"]))
 @click.option("-o", "--output", type=click.File("w"), default="-")
 @click.pass_obj
-def emit_list(obj, model, matrix, action, output):
+def emit_list(obj, model, matrix, output):
     """Emit a native filter list from model predictions over a matrix."""
     fmodel = _load_model(model)
     meta, X = features.read_feature_matrix(matrix)
     scores = forest.predict_scores(fmodel, X) if len(meta) else []
     rules = filters.emit_filter_list(
-        _predictions_from(meta, scores), obj["threshold"], action=action,
+        _predictions_from(meta, scores), obj["threshold"],
         model_version=fmodel.feature_version)
     filters.write_native(rules, output)
 

@@ -7,9 +7,9 @@ parent script and that script's storage and requests, the redirect chain
 and the request's infiltrations) depend only on the decoration's request.
 They are computed once per request and shared by its decorations; the other
 25 (both views' metrics, depth, entropy, URL section, and the exfiltrated
-storage and its setters) once per decoration. Each view's metrics come
-from one search of the view: a batched BFS whose levels also give each
-component's size and, with the degrees, its edge count.
+storage and its setters) once per decoration. Each view is held as one
+CSR adjacency and its degree arrays, built once from the view's edges; one
+batched BFS over that CSR gives every decoration's view metrics.
 
 The feature name list is fixed and versioned; the matrix file writer embeds
 the version in every feature column header.
@@ -121,115 +121,101 @@ def shannon_entropy(s: str) -> float:
 _BFS_BLOCK = 256
 
 
-def _level_counts(indptr: np.ndarray, indices: np.ndarray,
-                  degrees: np.ndarray,
-                  sources: list[int]) -> list[tuple[list[int], int]]:
-    """For each source, how many nodes lie at distance 1, 2, ... up to its
-    eccentricity, in the undirected graph with CSR adjacency (indptr,
-    indices), and the sum of ``degrees`` (float64) over its component.
-
-    Level-synchronous BFS from a block of sources at once: bit j of a node's
-    row says whether source j has reached it, and one level ORs the rows of
-    each node's neighbours. Bitwise operations on the uint64 view act on
-    the packed bytes alike, whatever the byte order. The final ``seen`` bits
-    are each source's component; one float64 product sums its degrees,
-    exactly below 2**53.
-    """
-    n = len(indptr) - 1
-    linked = np.flatnonzero(np.diff(indptr))
-    starts = indptr[linked]
-    out = []
-    for lo in range(0, len(sources), _BFS_BLOCK):
-        block = sources[lo:lo + _BFS_BLOCK]
-        width = -(-len(block) // 64) * 64
-        start = np.zeros((n, width), dtype=bool)
-        start[block, np.arange(len(block))] = True
-        seen = np.packbits(start, axis=1, bitorder="little").view(np.uint64)
-        frontier = seen
-        levels = []
-        while True:
-            reached = np.zeros_like(seen)
-            reached[linked] = np.bitwise_or.reduceat(
-                frontier[indices], starts, axis=0)
-            reached &= ~seen
-            if not reached.any():
-                break
-            levels.append(np.unpackbits(
-                reached.view(np.uint8), axis=1,
-                bitorder="little").sum(axis=0)[:len(block)])
-            seen = seen | reached
-            frontier = reached
-        per_source = np.array(levels, dtype=np.int64).reshape(
-            len(levels), len(block)).T.tolist()
-        degree_sums = (degrees @ np.unpackbits(
-            seen.view(np.uint8), axis=1, bitorder="little")[:, :len(block)])
-        # a source's levels are non-empty up to its eccentricity, then empty
-        out.extend((c[:len(c) - c.count(0)], degree_sum) for c, degree_sum
-                   in zip(per_source, degree_sums.astype(np.int64).tolist()))
-    return out
-
-
 class ViewMetrics:
     """Structural metrics over one view (node list + edge list) of a graph.
 
-    Multi-edges count toward degrees and edge counts; shortest paths use the
-    simple undirected projection. One search answers everything: the first
-    ``metrics`` call runs one multi-source BFS (``_level_counts``) from every
-    decoration of the view, in O(eccentricity x (edges + nodes) x
-    decorations / block) vectorised steps; any other node gets a BFS of its
-    own when asked. A node's component has 1 + sum(levels) nodes and half
-    its degree sum in edges, since each edge, a self-loop too, adds 2 to it.
-    Closeness adds 1/d once per node at distance d, in ascending d: the
-    terms, and their order, of a sum over a per-node BFS, so Python's
-    ``sum`` gives the same float. That sum is kept per distinct level
-    vector, before it is divided by n - 1.
+    The view is held once, as arrays built from its edge list: degrees, where
+    multi-edges count and a self-loop adds 2, and the CSR adjacency of the
+    simple undirected projection, where paths run. The first ``metrics`` call
+    runs one BFS from every decoration at once; any other node gets its own.
+    A component has 1 + sum(levels) nodes and half its degree sum in edges.
+    Closeness adds 1/d per node at distance d, in ascending d, as a per-node
+    BFS would, so ``sum`` gives the same float; it is kept per level vector.
     """
 
     def __init__(self, nodes, edges):
-        nodes = list(nodes)
-        self.node_ids = {n.id for n in nodes}
-        self.adj: dict[str, set] = {nid: set() for nid in self.node_ids}
-        self.multi_degree: dict[str, int] = {nid: 0 for nid in self.node_ids}
-        self.in_degree: dict[str, int] = {nid: 0 for nid in self.node_ids}
-        self.out_degree: dict[str, int] = {nid: 0 for nid in self.node_ids}
-        for e in edges:
-            self.adj[e.src].add(e.dst)
-            self.adj[e.dst].add(e.src)
-            self.out_degree[e.src] += 1
-            self.in_degree[e.dst] += 1
-            self.multi_degree[e.src] += 1
-            self.multi_degree[e.dst] += 1
-        self._decorations = [n.id for n in nodes if n.kind == DECORATION]
-        # node -> (level counts, multi-degree sum of its component)
-        self._searched: dict[str, tuple[list[int], int]] = {}
+        kinds = {nd.id: nd.kind for nd in nodes}
+        pos = self._position = {nid: i for i, nid in enumerate(kinds)}
+        n = len(pos)
+        src, dst = np.array([(pos[e.src], pos[e.dst]) for e in edges],
+                            dtype=np.int64).reshape(-1, 2).T
+        degree = self._degree = np.bincount(
+            np.concatenate((src, dst)), minlength=n).astype(np.float64)
+        # each pair once, sorted, so a node's neighbours are one run; not
+        # np.unique, which imports numpy.ma and its 1.5 MB of peak RSS
+        pairs = np.sort(np.concatenate((src * n + dst, dst * n + src)))
+        rows, self._indices = np.divmod(
+            pairs[np.diff(pairs, prepend=-1) != 0], max(n, 1))
+        neighbors = np.bincount(rows, minlength=n)
+        # the CSR rows with neighbours and their starts, for the BFS's reduceat
+        self._linked = np.flatnonzero(neighbors)
+        self._starts = np.searchsorted(rows, self._linked)
+        # sums below 2**53 are exact in float64, so each mean is int / int
+        adc = np.divide(
+            np.bincount(rows, weights=degree[self._indices], minlength=n),
+            neighbors, out=np.zeros(n), where=neighbors > 0)
+        # per node, as Python floats: in-, out- and multi-degree, and the
+        # average multi-degree of its neighbours
+        self._local = np.column_stack((
+            np.bincount(dst, minlength=n), np.bincount(src, minlength=n),
+            degree, adc)).tolist()
+        # decorations the first search takes in one batch
+        self._unsearched = [i for i, kind in enumerate(kinds.values())
+                            if kind == DECORATION]
+        # per node: (level counts, multi-degree sum of its component)
+        self._searched: list = [None] * n
         # level vector -> closeness sum before dividing by n - 1
         self._closeness: dict[tuple, float] = {}
 
-    def search(self, node_id: str) -> tuple[list[int], int]:
-        """How many nodes lie at distance 1, 2, ... from ``node_id``, and
-        the multi-degree sum of its component."""
-        if node_id not in self._searched:
-            sources = [node_id]
-            if not self._searched:
-                sources += [d for d in self._decorations if d != node_id]
-            order = list(self.adj)
-            position = {nid: i for i, nid in enumerate(order)}
-            indptr = np.zeros(len(order) + 1, dtype=np.intp)
-            np.cumsum([len(self.adj[nid]) for nid in order], out=indptr[1:])
-            indices = np.fromiter(
-                (position[m] for nid in order for m in self.adj[nid]),
-                dtype=np.intp, count=int(indptr[-1]))
-            degrees = np.array([self.multi_degree[nid] for nid in order],
-                               dtype=np.float64)
-            self._searched.update(zip(sources, _level_counts(
-                indptr, indices, degrees, [position[s] for s in sources])))
-        return self._searched[node_id]
+    def _level_counts(self, sources: list[int]) -> list[tuple[list[int], int]]:
+        """Each source position's level counts (nodes at distance 1, 2, ...
+        up to its eccentricity) and its component's degree sum, by a
+        level-synchronous BFS from a block of sources at once: bit j of a
+        node's row says whether source j has reached it, and a level ORs its
+        neighbours' rows, alike in any byte order. The final ``seen`` bits
+        are each source's component, whose degrees a float64 product sums.
+        """
+        out = []
+        for lo in range(0, len(sources), _BFS_BLOCK):
+            block = sources[lo:lo + _BFS_BLOCK]
+            width = -(-len(block) // 64) * 64
+            start = np.zeros((len(self._degree), width), dtype=bool)
+            start[block, np.arange(len(block))] = True
+            seen = np.packbits(start, 1, bitorder="little").view(np.uint64)
+            frontier = seen
+            levels = []
+            while True:
+                reached = np.zeros_like(seen)
+                reached[self._linked] = np.bitwise_or.reduceat(
+                    frontier[self._indices], self._starts, axis=0)
+                reached &= ~seen
+                if not reached.any():
+                    break
+                levels.append(np.unpackbits(
+                    reached.view(np.uint8), axis=1,
+                    bitorder="little").sum(axis=0)[:len(block)])
+                seen = seen | reached
+                frontier = reached
+            per_source = np.array(levels, dtype=np.int64).reshape(
+                -1, len(block)).T.tolist()
+            degree_sums = self._degree @ np.unpackbits(
+                seen.view(np.uint8), axis=1, bitorder="little")[:, :len(block)]
+            # levels are non-empty up to the source's eccentricity, then empty
+            out.extend((c[:len(c) - c.count(0)], d) for c, d in zip(
+                per_source, degree_sums.astype(np.int64).tolist()))
+        return out
 
     def metrics(self, node_id: str, prefix: str = "") -> dict[str, float]:
-        if node_id not in self.node_ids:
+        i = self._position.get(node_id)
+        if i is None:
             # the nine view metrics lead FEATURE_NAMES, in this order
             return dict.fromkeys([prefix + n for n in FEATURE_NAMES[:9]], 0.0)
-        levels, degree_sum = self.search(node_id)
+        if self._searched[i] is None:
+            sources = [i] + [d for d in self._unsearched if d != i]
+            self._unsearched = []
+            for s, found in zip(sources, self._level_counts(sources)):
+                self._searched[s] = found
+        levels, degree_sum = self._searched[i]
         n_nodes = 1 + sum(levels)
         n_edges = degree_sum // 2
         closeness = 0.0
@@ -241,18 +227,14 @@ class ViewMetrics:
                     repeat(1.0 / d, count)
                     for d, count in enumerate(levels, 1)))
             closeness /= (n_nodes - 1)
-        neighbors = self.adj[node_id]
-        if neighbors:
-            adc = sum(self.multi_degree[v] for v in neighbors) / len(neighbors)
-        else:
-            adc = 0.0
+        in_degree, out_degree, degree, adc = self._local[i]
         return {
             prefix + "node_count": float(n_nodes),
             prefix + "edge_count": float(n_edges),
             prefix + "nodes_per_edge": n_nodes / n_edges if n_edges else 0.0,
-            prefix + "in_degree": float(self.in_degree[node_id]),
-            prefix + "out_degree": float(self.out_degree[node_id]),
-            prefix + "degree": float(self.multi_degree[node_id]),
+            prefix + "in_degree": in_degree,
+            prefix + "out_degree": out_degree,
+            prefix + "degree": degree,
             prefix + "avg_degree_connectivity": adc,
             prefix + "closeness_centrality": closeness,
             prefix + "eccentricity": float(len(levels)),

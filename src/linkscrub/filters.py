@@ -1,6 +1,11 @@
 """Sanitization filter lists: emission from classifier predictions, the
 native portable text format, and export to the adblock ``removeparam``
 dialect (query keys only; path/fragment rules go to a sidecar section).
+
+Format 1 carries an action column (``replace`` or ``strip``) that is
+checked when read but that nothing acts on: ``sanitize``'s ``mode``, the
+CLI's ``sanitize --mode``, decides how every flagged value is rewritten.
+Emitted lists always write ``replace``.
 """
 
 from __future__ import annotations
@@ -33,7 +38,6 @@ class Prediction:
 
 
 def emit_filter_list(predictions: Iterable[Prediction], threshold: float,
-                     action: str = "replace",
                      model_version: str = "") -> RuleIndex:
     """One rule per distinct flagged identity, ordered by (site, fqdn, key),
     as a :class:`~linkscrub.urls.RuleIndex` ready for ``sanitize``.
@@ -52,12 +56,13 @@ def emit_filter_list(predictions: Iterable[Prediction], threshold: float,
         if not qualifying:
             continue
         if len(qualifying) == len(sites):
-            rules.append(FilterRule("*", fqdn, key, action,
-                                    max(qualifying.values()), model_version))
+            rules.append(FilterRule("*", fqdn, key,
+                                    score=max(qualifying.values()),
+                                    model_version=model_version))
         else:
             for site, score in qualifying.items():
-                rules.append(FilterRule(site, fqdn, key, action, score,
-                                        model_version))
+                rules.append(FilterRule(site, fqdn, key, score=score,
+                                        model_version=model_version))
     rules.sort(key=lambda r: (r.scope, r.fqdn, r.key))
     return RuleIndex(rules)
 
@@ -74,8 +79,7 @@ def parse_native(fh: IO[str]) -> RuleIndex:
     """Read a native filter list into a :class:`~linkscrub.urls.RuleIndex`."""
     first = fh.readline().rstrip("\n")
     if first != _HEADER:
-        raise RuleLoadError(
-            f"expected header {_HEADER!r}", first)
+        raise RuleLoadError(f"line 1: expected header {_HEADER!r}", first)
     rules = []
     for line_no, raw in enumerate(fh, start=2):
         line = raw.rstrip("\n")

@@ -59,18 +59,19 @@ class RequestRuleIndex(tuple):
 
 def parse_request_rules(lines: Iterable[str]) -> list[RequestRule]:
     rules = []
-    for raw in lines:
+    for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("!"):
             continue
         for unsupported in ("##", "#@#", "@@", "$"):
             if unsupported in line:
-                raise RuleLoadError(
-                    f"unsupported filter syntax {unsupported!r}", line)
+                raise RuleLoadError(f"line {line_no}: unsupported filter "
+                                    f"syntax {unsupported!r}", line)
         if line.startswith("||"):
             body = line[2:]
             if not body.endswith("^") or not body[:-1]:
-                raise RuleLoadError("malformed host anchor", line)
+                raise RuleLoadError(
+                    f"line {line_no}: malformed host anchor", line)
             rules.append(RequestRule(line, host_anchor=body[:-1].lower()))
         else:
             rules.append(RequestRule(line))
@@ -106,11 +107,12 @@ def parse_cookie_purpose_db(lines: Iterable[str]) -> list[CookiePurposeEntry]:
         parts = line.split(",")
         if len(parts) != 3:
             raise RuleLoadError(
-                f"cookie purpose line {line_no} needs domain,key,purpose", line)
+                f"line {line_no}: cookie purpose needs domain,key,purpose",
+                line)
         domain, key, purpose = (p.strip() for p in parts)
         if purpose not in COOKIE_PURPOSES:
             raise RuleLoadError(
-                f"unknown cookie purpose {purpose!r} (line {line_no})", line)
+                f"line {line_no}: unknown cookie purpose {purpose!r}", line)
         entries.append(CookiePurposeEntry(domain, key, purpose))
     return entries
 
@@ -137,12 +139,13 @@ class CuratedEntry:
 
 def parse_curated_list(lines: Iterable[str]) -> list[CuratedEntry]:
     entries = []
-    for raw in lines:
+    for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "|" not in line:
-            raise RuleLoadError("curated entry must be fqdn|key", line)
+            raise RuleLoadError(
+                f"line {line_no}: curated entry must be fqdn|key", line)
         fqdn, key = line.split("|", 1)
         entries.append(CuratedEntry(fqdn, key))
     return entries
@@ -243,7 +246,7 @@ def read_labels(fh: IO[str]) -> list[LabeledDecoration]:
     try:
         header = next(reader, None)
         if header != _LABEL_COLUMNS:
-            raise RuleLoadError("bad label file header", str(header))
+            raise RuleLoadError("line 1: bad label file header", str(header))
         out = []
         for row in reader:
             if not row:

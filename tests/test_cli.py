@@ -84,6 +84,9 @@ def test_full_pipeline(runner, corpus, tmp_path):
     assert result.exit_code == 0, result.output
     pred_lines = (tmp_path / "pred.csv").read_text().splitlines()
     assert pred_lines[0] == "site,fqdn,key,kind,score,label"
+    # each score is a plain float's repr, not a numpy scalar's
+    assert all(0.0 <= float(line.split(",")[4]) <= 1.0
+               for line in pred_lines[1:])
     assert any(",ATS," in line or line.endswith("ATS")
                for line in pred_lines[1:])
 
@@ -227,6 +230,7 @@ def _model(trees, names=features.FEATURE_NAMES, config=None):
 
 _TRAIN = ["train", "--matrix", "m.csv", "--labels", "l.csv", "-o", "x.json"]
 _PREDICT = ["predict", "--model", "model.json", "--matrix", "m.csv"]
+_LABEL = ["label", "t.jsonl"]
 # files to write, command line, and what the error line must contain
 MALFORMED_INPUTS = {
     "matrix header": ({"m.csv": "a,b\n", "l.csv": _LABELS}, _TRAIN,
@@ -239,6 +243,8 @@ MALFORMED_INPUTS = {
     "label row of 4 fields": ({"m.csv": _matrix(),
                                "l.csv": _LABELS + "s,f,k,ATS\n"}, _TRAIN,
                               "line 2: expected 5 fields"),
+    "label file header": ({"m.csv": _matrix(), "l.csv": "a,b\n"}, _TRAIN,
+                          "line 1: bad label file header"),
     "label field over the csv limit": (
         {"m.csv": _matrix(),
          "l.csv": _LABELS + "s," + "x" * 200_000 + ",k,ATS,p\n"},
@@ -246,6 +252,21 @@ MALFORMED_INPUTS = {
     "matrix field over the csv limit": (
         {"m.csv": _matrix("x" * 200_000), "l.csv": _LABELS}, _TRAIN,
         "line 2: field larger than field limit"),
+    "request rule with a bad host anchor": (
+        {"t.jsonl": HEADER, "r.txt": "! rules\n\n||bad\n"},
+        _LABEL + ["--request-rules", "r.txt"],
+        "line 3: malformed host anchor: '||bad'"),
+    "cookie purpose unknown": (
+        {"t.jsonl": HEADER, "p.csv": "# purposes\n*,uid,other\n"},
+        _LABEL + ["--cookie-purposes", "p.csv"],
+        "line 2: unknown cookie purpose 'other'"),
+    "curated entry without a bar": (
+        {"t.jsonl": HEADER, "c.txt": "# curated\n\nuid\n"},
+        _LABEL + ["--curated", "c.txt"],
+        "line 3: curated entry must be fqdn|key"),
+    "native list header": ({"l.txt": "# other list\n"},
+                           ["export-adblock", "--list", "l.txt"],
+                           "line 1: expected header"),
     "model not JSON": ({"model.json": "{nope", "m.csv": _matrix()}, _PREDICT,
                        "model is not JSON"),
     "model without trees": ({"model.json": '{"format": 1}',

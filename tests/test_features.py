@@ -6,7 +6,7 @@ import pytest
 from linkscrub.features import (FEATURE_NAMES, REQUEST_LEVEL_FEATURES,
                                 ViewMetrics, extract_features,
                                 features_for_graph, shannon_entropy)
-from linkscrub.graph import Edge, Node, build_full_graph
+from linkscrub.graph import DECORATION, Edge, Node, build_full_graph
 
 from conftest import TraceBuilder
 
@@ -256,3 +256,12 @@ def test_view_metrics_match_oracle_on_random_graphs():
             for key, val in want.items():
                 assert got[key] == pytest.approx(val, abs=1e-12), \
                     (seed, target, key)
+
+
+@pytest.mark.parametrize("nodes,node_count", [
+    ([], 0.0), ([Node("x", DECORATION)], 1.0)],
+    ids=["empty view", "isolated node"])
+def test_view_metrics_without_edges(nodes, node_count):
+    metrics = ViewMetrics(nodes, []).metrics("x")
+    assert metrics == {**dict.fromkeys(FEATURE_NAMES[:9], 0.0),
+                       "node_count": node_count}
