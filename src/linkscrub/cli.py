@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 input error, 2 invariant violation.
 
 from __future__ import annotations
 
+import csv
 import sys
 
 import click
@@ -233,7 +234,8 @@ def _load_model(fh):
 @click.option("--model", type=click.File("r"), required=True)
 @click.option("--matrix", type=click.File("r"), required=True)
 @click.option("--explain", is_flag=True,
-              help="Also print the top path-contribution feature per row.")
+              help="Also print the top path-contribution feature per row, "
+                   "in a top_feature column.")
 @click.option("-o", "--output", type=click.File("w"), default="-")
 @click.pass_obj
 def predict(obj, model, matrix, explain, output):
@@ -242,16 +244,16 @@ def predict(obj, model, matrix, explain, output):
     meta, X = features.read_feature_matrix(matrix)
     # Python floats, so that each score prints as its repr under any numpy
     scores = forest.predict_scores(fmodel, X).tolist() if len(meta) else []
-    output.write("site,fqdn,key,kind,score,label\n")
+    writer = csv.writer(output, lineterminator="\n")
+    writer.writerow(["site", "fqdn", "key", "kind", "score", "label"]
+                    + (["top_feature"] if explain else []))
     for i, (row, score) in enumerate(zip(meta, scores)):
-        lab = "ATS" if score >= obj["threshold"] else "NonATS"
-        line = (f"{row['site']},{row['fqdn']},{row['key']},"
-                f"{row['kind']},{score!r},{lab}")
+        line = [row["site"], row["fqdn"], row["key"], row["kind"], score,
+                "ATS" if score >= obj["threshold"] else "NonATS"]
         if explain:
             _, contrib, _ = forest.decompose_prediction(fmodel, X[i])
-            top = fmodel.feature_names[int(np.argmax(np.abs(contrib)))]
-            line += f",{top}"
-        output.write(line + "\n")
+            line.append(fmodel.feature_names[int(np.argmax(np.abs(contrib)))])
+        writer.writerow(line)
 
 
 def _predictions_from(meta, scores):

@@ -2,14 +2,13 @@
 view, content features, and flow features including a second copy of the
 structural metrics over the shared-information (flow) view.
 
-The 18 ``REQUEST_LEVEL_FEATURES`` (the decoration's ancestry, its request's
-parent script and that script's storage and requests, the redirect chain
-and the request's infiltrations) depend only on the decoration's request.
-They are computed once per request and shared by its decorations; the other
-25 (both views' metrics, depth, entropy, URL section, and the exfiltrated
-storage and its setters) once per decoration. Each view is held as one
-CSR adjacency and its degree arrays, built once from the view's edges; one
-batched BFS over that CSR gives every decoration's view metrics.
+A graph's vectors come from one pass over its decorations (``_vectors``).
+Each view is one CSR adjacency and its degree arrays, built from the view's
+edges; one batched BFS per view, from one source per twin class, gives all
+decorations' nine view metrics as tuples. The 18 ``REQUEST_LEVEL_FEATURES``
+(ancestry, parent script, its storage and requests, redirects, and
+infiltrations) depend only on the request and are computed once per request,
+entropy once per value string, and the rest once per decoration.
 
 The feature name list is fixed and versioned; the matrix file writer embeds
 the version in every feature column header.
@@ -20,7 +19,7 @@ from __future__ import annotations
 import csv
 import math
 from collections import Counter, defaultdict
-from itertools import chain, repeat
+from itertools import accumulate, chain, repeat
 from typing import IO, Callable, Iterable, Optional
 
 import numpy as np
@@ -126,19 +125,23 @@ class ViewMetrics:
 
     The view is held once, as arrays built from its edge list: degrees, where
     multi-edges count and a self-loop adds 2, and the CSR adjacency of the
-    simple undirected projection, where paths run. The first ``metrics`` call
-    runs one BFS from every decoration at once; any other node gets its own.
-    A component has 1 + sum(levels) nodes and half its degree sum in edges.
-    Closeness adds 1/d per node at distance d, in ascending d, as a per-node
-    BFS would, so ``sum`` gives the same float; it is kept per level vector.
+    simple undirected projection, where paths run. ``rows`` gives each
+    node's nine metrics as one tuple; its first call searches the asked
+    nodes and every decoration of the view at once, a later one only the
+    asked nodes not yet searched. Twins, nodes with equal CSR index rows
+    (as bytes), have equal level vectors and one component, so a class takes
+    one BFS source; an isolated node is a class of its own. A component has
+    1 + sum(levels) nodes and half its degree sum in edges. Closeness adds
+    1/d per node at distance d, in ascending d, as a per-node BFS would, so
+    ``sum`` gives the same float; it is kept per level vector.
     """
 
     def __init__(self, nodes, edges):
         kinds = {nd.id: nd.kind for nd in nodes}
         pos = self._position = {nid: i for i, nid in enumerate(kinds)}
         n = len(pos)
-        src, dst = np.array([(pos[e.src], pos[e.dst]) for e in edges],
-                            dtype=np.int64).reshape(-1, 2).T
+        src = np.array([pos[e.src] for e in edges], dtype=np.int64)
+        dst = np.array([pos[e.dst] for e in edges], dtype=np.int64)
         degree = self._degree = np.bincount(
             np.concatenate((src, dst)), minlength=n).astype(np.float64)
         # each pair once, sorted, so a node's neighbours are one run; not
@@ -147,23 +150,24 @@ class ViewMetrics:
         rows, self._indices = np.divmod(
             pairs[np.diff(pairs, prepend=-1) != 0], max(n, 1))
         neighbors = np.bincount(rows, minlength=n)
+        self._indptr = np.concatenate(([0], np.cumsum(neighbors)))
         # the CSR rows with neighbours and their starts, for the BFS's reduceat
         self._linked = np.flatnonzero(neighbors)
-        self._starts = np.searchsorted(rows, self._linked)
+        self._starts = self._indptr[self._linked]
         # sums below 2**53 are exact in float64, so each mean is int / int
         adc = np.divide(
             np.bincount(rows, weights=degree[self._indices], minlength=n),
             neighbors, out=np.zeros(n), where=neighbors > 0)
-        # per node, as Python floats: in-, out- and multi-degree, and the
-        # average multi-degree of its neighbours
-        self._local = np.column_stack((
+        # one list per column, of Python floats: in-, out- and multi-degree,
+        # and the average multi-degree of each node's neighbours
+        self._local = np.vstack((
             np.bincount(dst, minlength=n), np.bincount(src, minlength=n),
             degree, adc)).tolist()
         # decorations the first search takes in one batch
         self._unsearched = [i for i, kind in enumerate(kinds.values())
                             if kind == DECORATION]
-        # per node: (level counts, multi-degree sum of its component)
-        self._searched: list = [None] * n
+        # per node: its nine metrics, once searched
+        self._rows: list = [None] * n
         # level vector -> closeness sum before dividing by n - 1
         self._closeness: dict[tuple, float] = {}
 
@@ -205,40 +209,43 @@ class ViewMetrics:
                 per_source, degree_sums.astype(np.int64).tolist()))
         return out
 
-    def metrics(self, node_id: str, prefix: str = "") -> dict[str, float]:
-        i = self._position.get(node_id)
-        if i is None:
-            # the nine view metrics lead FEATURE_NAMES, in this order
-            return dict.fromkeys([prefix + n for n in FEATURE_NAMES[:9]], 0.0)
-        if self._searched[i] is None:
-            sources = [i] + [d for d in self._unsearched if d != i]
+    def rows(self, node_ids: Iterable[str]) -> list[tuple[float, ...]]:
+        """Each node's metrics in ``FEATURE_NAMES[:9]`` order; all zeros for
+        a node outside the view."""
+        positions = [self._position.get(nid) for nid in node_ids]
+        done = self._rows
+        new = [i for i in positions if i is not None and done[i] is None]
+        if new:
+            ends = (self._indptr * self._indices.itemsize).tolist()
+            raw = self._indices.tobytes()
+            classes: dict = {}
+            for s in dict.fromkeys(new + self._unsearched):
+                row = raw[ends[s]:ends[s + 1]]
+                classes.setdefault(row or s, []).append(s)
             self._unsearched = []
-            for s, found in zip(sources, self._level_counts(sources)):
-                self._searched[s] = found
-        levels, degree_sum = self._searched[i]
-        n_nodes = 1 + sum(levels)
-        n_edges = degree_sum // 2
-        closeness = 0.0
-        if levels:
-            key = tuple(levels)
-            closeness = self._closeness.get(key)
-            if closeness is None:
-                closeness = self._closeness[key] = sum(chain.from_iterable(
-                    repeat(1.0 / d, count)
-                    for d, count in enumerate(levels, 1)))
-            closeness /= (n_nodes - 1)
-        in_degree, out_degree, degree, adc = self._local[i]
-        return {
-            prefix + "node_count": float(n_nodes),
-            prefix + "edge_count": float(n_edges),
-            prefix + "nodes_per_edge": n_nodes / n_edges if n_edges else 0.0,
-            prefix + "in_degree": in_degree,
-            prefix + "out_degree": out_degree,
-            prefix + "degree": degree,
-            prefix + "avg_degree_connectivity": adc,
-            prefix + "closeness_centrality": closeness,
-            prefix + "eccentricity": float(len(levels)),
-        }
+            found = self._level_counts([c[0] for c in classes.values()])
+            in_degree, out_degree, degree, adc = self._local
+            for twins, (levels, degree_sum) in zip(classes.values(), found):
+                n_nodes, n_edges = 1 + sum(levels), degree_sum // 2
+                closeness = 0.0
+                if levels:
+                    key = tuple(levels)
+                    closeness = self._closeness.get(key)
+                    if closeness is None:
+                        closeness = self._closeness[key] = sum(
+                            chain.from_iterable(repeat(1.0 / d, count) for d,
+                                                count in enumerate(levels, 1)))
+                    closeness /= (n_nodes - 1)
+                size = (float(n_nodes), float(n_edges),
+                        n_nodes / n_edges if n_edges else 0.0)
+                for s in twins:
+                    done[s] = (*size, in_degree[s], out_degree[s], degree[s],
+                               adc[s], closeness, float(len(levels)))
+        return [(0.0,) * 9 if i is None else done[i] for i in positions]
+
+    def metrics(self, node_id: str, prefix: str = "") -> dict[str, float]:
+        return dict(zip([prefix + n for n in FEATURE_NAMES[:9]],
+                        self.rows([node_id])[0]))
 
 
 _ANCESTRY_LABELS = ("splits", "initiates", "creates", "redirects")
@@ -264,9 +271,9 @@ class _GraphIndex:
     ``out[label][node]`` lists the far ends of the node's outgoing edges
     with that label, in edge order, and ``into[label][node]`` those of its
     incoming edges. The label is an interaction edge's sub-kind or a flow
-    edge's kind. ``requests`` holds each request's block of
-    ``REQUEST_LEVEL_FEATURES`` once it has been computed, and ``scripts``
-    the part of it that each parent script decides.
+    edge's kind. ``requests`` keeps each request's ``REQUEST_LEVEL_FEATURES``
+    as a tuple, with how many of its decorations precede each URL section;
+    ``scripts`` keeps the part of that block each parent script decides.
     """
 
     def __init__(self, g: PageGraph):
@@ -284,7 +291,7 @@ class _GraphIndex:
         self.flow_parents: dict[str, list[str]] = {}
         for e in flow_edges:
             self.flow_parents.setdefault(e.dst, []).append(e.src)
-        self.requests: dict[str, dict[str, float]] = {}
+        self.requests: dict[str, tuple[tuple, tuple]] = {}
         self.scripts: dict[Optional[str], dict[str, float]] = {}
 
     def ancestry_parents(self, node_id: str) -> list[str]:
@@ -386,6 +393,72 @@ def _request_block(index: _GraphIndex, request_id: str) -> dict[str, float]:
     return {name: block[name] for name in REQUEST_LEVEL_FEATURES}
 
 
+def _vectors(g: PageGraph, decorations: list,
+             index: _GraphIndex) -> list[dict[str, float]]:
+    """The feature vectors of ``decorations``, in their order: both views'
+    rows for all of them at once, then per decoration one tuple in
+    ``FEATURE_NAMES`` order and one dict. ``index`` keeps each request's
+    block and section counts; entropy is kept per value string."""
+    nodes, out, into = g.nodes, index.out, index.into
+    flow_parents = index.flow_parents
+    ids = [dec.id for dec in decorations]
+    entropy: dict[str, float] = {}
+    vectors = []
+    for dec, view, flow in zip(decorations, index.interaction.rows(ids),
+                               index.flow.rows(ids)):
+        node_id, attrs = dec.id, dec.attrs
+        request_id = attrs["request"]
+        known = index.requests.get(request_id)
+        if known is None:
+            # a depth counts the decorations of the earlier URL sections
+            kinds = [nodes[d].attrs["kind"]
+                     for d in out["splits"].get(request_id, ())]
+            known = index.requests[request_id] = (
+                tuple(_request_block(index, request_id).values()),
+                (0, *accumulate(kinds.count(k) for k in _SECTIONS[:2])))
+        block, before = known
+        section = _SECTIONS.index(attrs["kind"])
+        value = attrs["value"]
+        if value not in entropy:
+            entropy[value] = shannon_entropy(value)
+
+        # flow features of the storage this decoration exfiltrates and of
+        # the scripts that set it
+        exfiltrated = into["exfiltration"].get(node_id)
+        if exfiltrated:
+            cookies = float(sum(nodes[s].attrs.get("store") == "cookie"
+                                for s in exfiltrated))
+            setters = {script for s in exfiltrated
+                       for script in into["set"].get(s, ())}
+            set_storage = {s for script in setters
+                           for s in out["set"].get(script, ())}
+            setter_exfiltrations = float(sum(
+                len(out["exfiltration"].get(s, ())) for s in set_storage))
+            setter_redirects = float(sum(
+                len(out["redirects"].get(r, ()))
+                + len(into["redirects"].get(r, ()))
+                for script in setters
+                for r in out["initiates"].get(script, ())))
+        else:
+            cookies = setter_exfiltrations = setter_redirects = 0.0
+        indirect = (float(len(_ancestors(
+            node_id, lambda n: flow_parents.get(n, ()))))
+            if node_id in flow_parents else 0.0)
+
+        # the request block's three runs sit apart in FEATURE_NAMES
+        row = (*view, *block[:7],
+               float(attrs["position"] + before[section]), entropy[value],
+               float(section),
+               *block[7:17], cookies, block[17], setter_exfiltrations,
+               setter_redirects, *flow, indirect)
+        if not all(map(math.isfinite, row)):
+            name, bad = next((n, v) for n, v in zip(FEATURE_NAMES, row)
+                             if not math.isfinite(v))
+            raise ValueError(f"non-finite feature {name}={bad}")
+        vectors.append(dict(zip(FEATURE_NAMES, row)))
+    return vectors
+
+
 def extract_features(g: PageGraph, node_id: str,
                      index: Optional[_GraphIndex] = None) -> dict[str, float]:
     """Full feature vector for one decoration node. Raises KeyError if the
@@ -395,57 +468,14 @@ def extract_features(g: PageGraph, node_id: str,
         raise ValueError(f"{node_id} is not a decoration node")
     if index is None:
         index = _GraphIndex(g)
-    nodes, out, into = g.nodes, index.out, index.into
-
-    fv = index.interaction.metrics(node_id)
-    request_id = node.attrs["request"]
-    block = index.requests.get(request_id)
-    if block is None:
-        block = index.requests[request_id] = _request_block(index, request_id)
-    fv.update(block)
-
-    # depth counts the decorations of earlier URL sections before this one
-    section = _SECTIONS.index(node.attrs["kind"])
-    fv["max_decoration_depth"] = float(node.attrs["position"] + sum(
-        _SECTIONS.index(nodes[d].attrs["kind"]) < section
-        for d in out["splits"].get(request_id, ())))
-    fv["shannon_entropy"] = shannon_entropy(node.attrs["value"])
-    fv["url_section"] = float(section)
-
-    # flow features of the storage this decoration exfiltrates and of the
-    # scripts that set it
-    exfiltrated = into["exfiltration"].get(node_id, [])
-    fv["cookie_exfiltration_count"] = float(sum(
-        nodes[s].attrs.get("store") == "cookie" for s in exfiltrated))
-    setters = {script for s in exfiltrated
-               for script in into["set"].get(s, ())}
-    set_storage = {s for script in setters for s in out["set"].get(script, ())}
-    fv["cookie_setter_exfiltrations"] = float(sum(
-        len(out["exfiltration"].get(s, ())) for s in set_storage))
-    fv["cookie_setter_redirects"] = float(sum(
-        len(out["redirects"].get(r, ())) + len(into["redirects"].get(r, ()))
-        for script in setters for r in out["initiates"].get(script, ())))
-
-    fv.update(index.flow.metrics(node_id, prefix="flow_"))
-    flow_parents = index.flow_parents
-    fv["indirect_ancestor_count"] = float(len(_ancestors(
-        node_id, lambda n: flow_parents.get(n, ()))))
-
-    ordered = {name: fv[name] for name in FEATURE_NAMES}
-    if not all(map(math.isfinite, ordered.values())):
-        name, value = next((n, v) for n, v in ordered.items()
-                           if not math.isfinite(v))
-        raise ValueError(f"non-finite feature {name}={value}")
-    return ordered
+    return _vectors(g, [node], index)[0]
 
 
 def features_for_graph(g: PageGraph) -> list[tuple[str, dict[str, float]]]:
     """(node_id, feature vector) for every decoration node, in node-id order."""
-    index = _GraphIndex(g)
-    out = []
-    for dec in sorted(g.decoration_nodes(), key=lambda n: n.id):
-        out.append((dec.id, extract_features(g, dec.id, index=index)))
-    return out
+    decorations = sorted(g.decoration_nodes(), key=lambda n: n.id)
+    return list(zip([dec.id for dec in decorations],
+                    _vectors(g, decorations, _GraphIndex(g))))
 
 
 def vector_to_array(fv: dict[str, float]) -> np.ndarray:

@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import subprocess
@@ -83,7 +84,7 @@ def test_full_pipeline(runner, corpus, tmp_path):
         "--explain", "-o", str(tmp_path / "pred.csv")])
     assert result.exit_code == 0, result.output
     pred_lines = (tmp_path / "pred.csv").read_text().splitlines()
-    assert pred_lines[0] == "site,fqdn,key,kind,score,label"
+    assert pred_lines[0] == "site,fqdn,key,kind,score,label,top_feature"
     # each score is a plain float's repr, not a numpy scalar's
     assert all(0.0 <= float(line.split(",")[4]) <= 1.0
                for line in pred_lines[1:])
@@ -110,6 +111,30 @@ def test_full_pipeline(runner, corpus, tmp_path):
     sanitized = result.output.strip()
     assert sanitized != "https://a.trk0.example/collect?uid=abcdefgh12345678"
     assert sanitized.startswith("https://a.trk0.example/collect?uid=")
+
+
+@pytest.mark.parametrize("explain", [[], ["--explain"]],
+                         ids=["plain", "explain"])
+def test_predict_rows_have_the_header_field_count(explain, tb, tmp_path):
+    """A key holding a comma, which the matrix quotes, stays one field."""
+    t = (tb.script("s1").request("s1", "r1", "https://t.example/p"
+                                 "?a,b=abcdefgh12345678&uid=zyxw9876vuts")
+         .build())
+    with open(tmp_path / "t.jsonl", "w", encoding="utf-8") as fh:
+        write_trace(t, fh)
+    (tmp_path / "model.json").write_text(_model([{**_SPLIT, "f": 0}]))
+    runner = CliRunner()
+    result = runner.invoke(main, ["features", str(tmp_path / "t.jsonl"),
+                                  "-o", str(tmp_path / "m.csv")])
+    assert result.exit_code == 0, result.output
+    result = runner.invoke(main, [
+        "predict", "--model", str(tmp_path / "model.json"),
+        "--matrix", str(tmp_path / "m.csv"), *explain])
+    assert result.exit_code == 0, result.output
+    header, *rows = csv.reader(io.StringIO(result.stdout))
+    assert header[-1] == ("top_feature" if explain else "label")
+    assert rows and all(len(row) == len(header) for row in rows), rows
+    assert "a,b" in {row[2] for row in rows}
 
 
 def test_cv_command(runner, corpus, tmp_path):

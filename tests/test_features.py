@@ -1,5 +1,6 @@
 import math
 import random
+from unittest import mock
 
 import pytest
 
@@ -256,6 +257,33 @@ def test_view_metrics_match_oracle_on_random_graphs():
             for key, val in want.items():
                 assert got[key] == pytest.approx(val, abs=1e-12), \
                     (seed, target, key)
+
+
+def test_twin_decorations_share_one_bfs_source(tb):
+    """a and b hang only off their request, so they are twins; uid also
+    hangs off the storage it exfiltrates."""
+    t = (tb.script("s1").set("s1", "cookie", "uid", "abcdefgh1234")
+         .request("s1", "r1", "https://t.example/?a=1&b=2&uid=abcdefgh1234")
+         .build())
+    g = build_full_graph(t)
+    nodes, edges = list(g.nodes.values()), g.edges
+    names = [f"decoration:r1:query:{i}" for i in range(3)]
+    vm = ViewMetrics(nodes, edges)
+    original, sources = ViewMetrics._level_counts, []
+
+    def spy(self, batch):
+        sources.extend(batch)
+        return original(self, batch)
+
+    with mock.patch.object(ViewMetrics, "_level_counts", spy):
+        rows = vm.rows(names)
+    searched = {list(vm._position)[i] for i in sources}
+    assert len(sources) == len(searched)
+    assert len(searched & set(names[:2])) == 1 and names[2] in searched
+    assert rows[0] == rows[1] != rows[2]
+    for name, row in zip(names, rows):
+        want = _oracle_metrics(nodes, edges, name)
+        assert row == pytest.approx(tuple(want.values()), abs=1e-12), name
 
 
 @pytest.mark.parametrize("nodes,node_count", [

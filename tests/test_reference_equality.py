@@ -23,7 +23,8 @@ from linkscrub.errors import UrlParseError
 from linkscrub.filters import FilterRule
 from linkscrub.features import (_BFS_BLOCK, REQUEST_LEVEL_FEATURES,
                                 ViewMetrics, _ancestors, _GraphIndex,
-                                _request_block, features_for_graph)
+                                _request_block, extract_features,
+                                features_for_graph)
 from linkscrub.graph import (DECORATION, ENCODINGS, EXFILTRATION,
                              INFILTRATION, Edge, Node, attach_decoration_nodes,
                              build_full_graph, build_graph,
@@ -159,6 +160,20 @@ def test_view_metrics_equal_reference_bfs(graph):
         assert vm.metrics(node_id, "flow_") == ref.metrics(node_id, "flow_")
 
 
+@settings(max_examples=300, deadline=None)
+@given(_graphs(), st.data())
+def test_view_metrics_rows_equal_reference_bfs(graph, data):
+    """Rows for ids in any order, with repeats and absent ids, asked for in
+    two calls, so the second searches only what the first did not."""
+    nodes, edges, order = graph
+    ids = data.draw(st.lists(st.sampled_from(order + ["absent"]),
+                             max_size=24))
+    cut = data.draw(st.integers(0, len(ids)))
+    vm, ref = ViewMetrics(nodes, edges), ReferenceViewMetrics(nodes, edges)
+    want = [tuple(ref.metrics(node_id).values()) for node_id in ids]
+    assert vm.rows(ids[:cut]) + vm.rows(ids[cut:]) == want
+
+
 def test_view_metrics_equal_reference_bfs_across_blocks():
     """More decorations than one BFS block holds, in a sparse random graph
     of several components."""
@@ -277,6 +292,19 @@ def test_features_equal_reference_per_decoration(t, min_len):
     assert rows == reference_features_for_graph(g)
     # a numpy scalar equals its float but prints differently in the matrix
     assert all(type(v) is float for _, fv in rows for v in fv.values())
+
+
+@settings(max_examples=100, deadline=None)
+@given(_page(), st.sampled_from([0, 8]))
+def test_extract_features_equals_the_graph_row(t, min_len):
+    """One decoration alone, with its own index or one shared in reverse
+    order, gets the row that ``features_for_graph`` gives it."""
+    g = build_full_graph(t, min_len=min_len)
+    rows = features_for_graph(g)
+    index = _GraphIndex(g)
+    for node_id, fv in reversed(rows):
+        assert repr(extract_features(g, node_id)) == repr(fv)
+        assert repr(extract_features(g, node_id, index)) == repr(fv)
 
 
 @settings(max_examples=100, deadline=None)
