@@ -13,12 +13,13 @@ import random
 from dataclasses import replace
 from typing import Callable, Optional
 
+from .errors import UrlParseError
 from .trace import Trace, TraceEvent
 from .urls import (FRAGMENT_KIND, PATH_KIND, DecoratedUrl, RawDecoration,
                    decompose, random_token, raw_decorations, with_decorations)
 
 _URL_FIELDS = {"request": "url", "element_request": "url",
-               "redirect": "to_url", "script_load": None, "eval_script": None}
+               "redirect": "to_url"}
 
 SPLIT_CHUNK = 8
 
@@ -45,7 +46,7 @@ def evade_rename(traces, seed: int = 0) -> list[Trace]:
         rng = random.Random(f"rename|{seed}|{ev.site}|{ev.seq}|{url}")
         try:
             d = decompose(url)
-        except Exception:
+        except UrlParseError:
             return url
         decs = raw_decorations(d)
         depth = len(d.path_segments)
@@ -70,7 +71,7 @@ def evade_split(traces) -> list[Trace]:
     def transform(url: str, ev: TraceEvent) -> str:
         try:
             d = decompose(url)
-        except Exception:
+        except UrlParseError:
             return url
         out = []
         for dec in raw_decorations(d):
@@ -106,7 +107,7 @@ def evade_combine(traces) -> list[Trace]:
     def transform(url: str, ev: TraceEvent) -> str:
         try:
             d = decompose(url)
-        except Exception:
+        except UrlParseError:
             return url
         digest = combine_decorations(d)
         if digest is None:

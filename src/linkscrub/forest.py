@@ -13,13 +13,13 @@ import json
 import math
 import sys
 from dataclasses import asdict, dataclass, field
-from typing import IO, Optional, Sequence, Union
+from typing import IO, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import InputError, InvariantError
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 ATS_CLASS = 1
 NON_ATS_CLASS = 0
@@ -43,20 +43,30 @@ class ForestConfig:
         return max(1, min(n_features, int(self.features_per_split)))
 
 
+class Tree(NamedTuple):
+    """One tree as four lists of one length, its nodes in pre-order. Node
+    ``i`` splits on feature ``feature[i]`` (-1 at a leaf): a row goes to the
+    left child, node ``i + 1``, when that feature is at most
+    ``threshold[i]``, else to node ``right[i]`` (-1 at a leaf). ``counts[i]``
+    is ``[n0, n1]``, the training rows of each class at the node."""
+    feature: list
+    threshold: list
+    right: list
+    counts: list
+
+
 @dataclass
 class Forest:
-    trees: list  # nested dicts; internal: f, t, counts, left, right; leaf: counts
+    trees: list  # of Tree, as grown, scored, explained and saved
     feature_names: tuple[str, ...]
     feature_version: str
     config: ForestConfig
 
 
-def _node_p1(node: dict) -> float:
-    c0, c1 = node["counts"]
-    return c1 / (c0 + c1)
-
-
-def _check_matrix(X: np.ndarray) -> None:
+def _check_matrix(X: np.ndarray, n_features: int) -> None:
+    if X.ndim != 2 or X.shape[1] != n_features:
+        raise InputError(f"expected {n_features} feature columns, not a "
+                         f"matrix of shape {X.shape}")
     bad = np.argwhere(~np.isfinite(X))
     if bad.size:
         r, c = bad[0]
@@ -129,43 +139,47 @@ def _best_split(codes, values, idx, feats, c1):
 
 
 def _grow_tree(XT, codes, values, y, idx, rng, cfg: ForestConfig,
-               k: int) -> dict:
+               k: int) -> Tree:
     """Grow one tree from an explicit stack, so depth is not limited by
-    recursion. The left child is popped first: nodes are visited in
-    pre-order, the order in which their feature draws come from ``rng``."""
-    root = {"counts": np.bincount(y[idx], minlength=2).tolist()}
-    stack = [(root, idx, 0)]
+    recursion. The left child is popped first: nodes are visited, and
+    appended, in pre-order, the order in which their feature draws come from
+    ``rng``. A right child fills in its parent's ``right`` when popped."""
+    tree = Tree([], [], [], [])
+    feature, threshold, right, counts = tree
+    stack = [(-1, idx, 0, np.bincount(y[idx], minlength=2).tolist())]
     while stack:
-        node, idx, depth = stack.pop()
-        c0, c1 = node["counts"]
-        if (len(idx) < cfg.min_split_size or c0 == 0 or c1 == 0
+        parent, idx, depth, (c0, c1) = stack.pop()
+        if parent >= 0:
+            right[parent] = len(counts)
+        counts.append([c0, c1])
+        split = None
+        if not (len(idx) < cfg.min_split_size or c0 == 0 or c1 == 0
                 or (cfg.max_depth is not None and depth >= cfg.max_depth)):
+            feats = rng.choice(XT.shape[0], size=k, replace=False)
+            split = _best_split(codes, values, idx, feats, c1)
+        f, t, (l0, l1) = split or (-1, 0.0, (c0, c1))  # a leaf
+        feature.append(f)
+        threshold.append(t)
+        right.append(-1)
+        if f < 0:
             continue
-        feats = rng.choice(XT.shape[0], size=k, replace=False)
-        split = _best_split(codes, values, idx, feats, c1)
-        if split is None:
-            continue
-        f, t, (l0, l1) = split
         go_left = XT[f, idx] <= t
-        node.update(f=f, t=t, left={"counts": [l0, l1]},
-                    right={"counts": [c0 - l0, c1 - l1]})
-        stack.append((node["right"], idx[~go_left], depth + 1))
-        stack.append((node["left"], idx[go_left], depth + 1))
-    return root
+        stack.append((len(counts) - 1, idx[~go_left], depth + 1,
+                      [c0 - l0, c1 - l1]))
+        stack.append((-1, idx[go_left], depth + 1, [l0, l1]))
+    return tree
 
 
 def train(X: np.ndarray, y: np.ndarray, cfg: ForestConfig,
           feature_names: Sequence[str], feature_version: str = "1") -> Forest:
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
-    _check_matrix(X)
+    _check_matrix(X, len(feature_names))
     if ((y != NON_ATS_CLASS) & (y != ATS_CLASS)).any():
         raise InputError("labels must be 0 (NonATS) or 1 (ATS)")
     if cfg.tree_count < 1:
         raise InputError("tree_count must be >= 1")
     k = cfg.resolve_features_per_split(X.shape[1])
-    seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.tree_count)
-    trees = []
     n = X.shape[0]
     XT = np.ascontiguousarray(X.T)
     # one row of rank codes per feature; equal values, -0.0 and 0.0 too,
@@ -177,51 +191,27 @@ def train(X: np.ndarray, y: np.ndarray, cfg: ForestConfig,
         distinct, rank = np.unique(column, return_inverse=True)
         codes[f] = rank * 2 + y
         values.append(distinct)
-    for seq in seeds:
+    trees = []
+    for seq in np.random.SeedSequence(cfg.seed).spawn(cfg.tree_count):
         rng = np.random.default_rng(seq)
-        if cfg.bootstrap:
-            idx = rng.integers(0, n, size=n)
-        else:
-            idx = np.arange(n)
+        idx = rng.integers(0, n, size=n) if cfg.bootstrap else np.arange(n)
         trees.append(_grow_tree(XT, codes, values, y, idx, rng, cfg, k))
     return Forest(trees, tuple(feature_names), feature_version, cfg)
 
 
-def _tree_arrays(tree: dict):
-    """(feature, threshold, left, right, p1) arrays of one dict tree, with
-    nodes numbered breadth-first. A leaf has feature -1 and is its own
-    child."""
-    nodes = [tree]
-    feature, threshold, left, right, p1 = [], [], [], [], []
-    for i, node in enumerate(nodes):  # visits the children appended below
-        p1.append(_node_p1(node))
-        if "f" in node:
-            feature.append(node["f"])
-            threshold.append(node["t"])
-            left.append(len(nodes))
-            right.append(len(nodes) + 1)
-            nodes += (node["left"], node["right"])
-        else:
-            feature.append(-1)
-            threshold.append(0.0)
-            left.append(i)
-            right.append(i)
-    return (np.array(feature, dtype=np.intp),
-            np.array(threshold, dtype=np.float64),
-            np.array(left, dtype=np.intp), np.array(right, dtype=np.intp),
-            np.array(p1, dtype=np.float64))
-
-
-def _leaf_p1(tree: dict, X: np.ndarray) -> np.ndarray:
+def _leaf_p1(tree: Tree, X: np.ndarray) -> np.ndarray:
     """ATS leaf proportion of ``tree`` for every row of ``X``: all rows step
     down one level at a time, and a row leaves the walk at its leaf."""
-    feature, threshold, left, right, p1 = _tree_arrays(tree)
+    feature = np.asarray(tree.feature)
+    threshold = np.asarray(tree.threshold, dtype=np.float64)
+    right = np.asarray(tree.right)
+    p1 = np.array([c1 / (c0 + c1) for c0, c1 in tree.counts])
     leaf = np.zeros(X.shape[0], dtype=np.intp)
     rows = np.flatnonzero(feature[leaf] >= 0)
     at = leaf[rows]
     while rows.size:
         go_left = X[rows, feature[at]] <= threshold[at]
-        at = np.where(go_left, left[at], right[at])
+        at = np.where(go_left, at + 1, right[at])
         leaf[rows] = at
         inner = feature[at] >= 0
         rows, at = rows[inner], at[inner]
@@ -231,7 +221,7 @@ def _leaf_p1(tree: dict, X: np.ndarray) -> np.ndarray:
 def predict_scores(forest: Forest, X: np.ndarray) -> np.ndarray:
     """Mean per-tree ATS leaf proportion for each row of ``X``."""
     X = np.asarray(X, dtype=np.float64)
-    _check_matrix(X)
+    _check_matrix(X, len(forest.feature_names))
     P = np.empty((X.shape[0], len(forest.trees)))
     for j, tree in enumerate(forest.trees):
         P[:, j] = _leaf_p1(tree, X)
@@ -259,22 +249,27 @@ def decompose_prediction(forest: Forest, x: np.ndarray):
     array, and prior + contributions.sum() equals the score exactly up to
     float summation order.
     """
-    x = np.asarray(x, dtype=np.float64).tolist()
-    contrib = [0.0] * len(forest.feature_names)
-    prior = 0.0
-    score = 0.0
+    x = np.asarray(x, dtype=np.float64)
+    n_features = len(forest.feature_names)
+    if x.shape != (n_features,):
+        raise InputError(f"expected {n_features} feature values, not an "
+                         f"array of shape {x.shape}")
+    x = x.tolist()
+    contrib = [0.0] * n_features
+    prior = score = 0.0
     n_trees = len(forest.trees)
-    for node in forest.trees:
-        c0, c1 = node["counts"]
+    for feature, threshold, right, counts in forest.trees:
+        c0, c1 = counts[0]
         p = c1 / (c0 + c1)
         prior += p
-        while "f" in node:
-            f = node["f"]
-            node = node["left"] if x[f] <= node["t"] else node["right"]
-            c0, c1 = node["counts"]
+        i, f = 0, feature[0]
+        while f >= 0:
+            i = i + 1 if x[f] <= threshold[i] else right[i]
+            c0, c1 = counts[i]
             p_child = c1 / (c0 + c1)
             contrib[f] += (p_child - p) / n_trees
             p = p_child
+            f = feature[i]
         score += p
     return prior / n_trees, np.array(contrib), score / n_trees
 
@@ -284,7 +279,7 @@ def feature_importance(forest: Forest, X: np.ndarray
     """Percentage of instances where each feature is the top contributor,
     mirroring the paper-style most-important-feature ranking."""
     X = np.asarray(X, dtype=np.float64)
-    _check_matrix(X)
+    _check_matrix(X, len(forest.feature_names))
     counts = np.zeros(len(forest.feature_names), dtype=np.int64)
     for i in range(X.shape[0]):
         _, contrib, _ = decompose_prediction(forest, X[i])
@@ -327,14 +322,18 @@ class EvalReport:
         return "\n".join(lines) + "\n"
 
 
+def _confusion(pred: np.ndarray, y: np.ndarray) -> dict:
+    return {"tp": int(np.sum((pred == 1) & (y == 1))),
+            "fp": int(np.sum((pred == 1) & (y == 0))),
+            "tn": int(np.sum((pred == 0) & (y == 0))),
+            "fn": int(np.sum((pred == 0) & (y == 1)))}
+
+
 def _metrics(tp, fp, tn, fn) -> dict:
     total = tp + fp + tn + fn
-    return {
-        "accuracy": (tp + tn) / total if total else 0.0,
-        "precision": tp / (tp + fp) if (tp + fp) else 0.0,
-        "recall": tp / (tp + fn) if (tp + fn) else 0.0,
-        "n": total,
-    }
+    return {"accuracy": (tp + tn) / total if total else 0.0,
+            "precision": tp / (tp + fp) if (tp + fp) else 0.0,
+            "recall": tp / (tp + fn) if (tp + fn) else 0.0, "n": total}
 
 
 def stratified_folds(y: np.ndarray, k: int, seed: int) -> list[np.ndarray]:
@@ -362,14 +361,12 @@ def cross_validate(X: np.ndarray, y: np.ndarray, cfg: ForestConfig,
     only; metrics are micro-averaged over the pooled test predictions."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
-    _check_matrix(X)
+    _check_matrix(X, len(feature_names))
     folds = stratified_folds(y, k, seed)
     all_pred = np.full(len(y), -1, dtype=np.int64)
     per_fold = []
     for i, test_idx in enumerate(folds):
-        mask = np.ones(len(y), dtype=bool)
-        mask[test_idx] = False
-        train_idx = np.flatnonzero(mask)
+        train_idx = np.setdiff1d(np.arange(len(y)), test_idx)
         keep = balance(y[train_idx], seed=seed * 1009 + i)
         train_sel = train_idx[keep]
         fold_cfg = ForestConfig(**{**asdict(cfg), "seed": cfg.seed * 7919 + i})
@@ -377,37 +374,19 @@ def cross_validate(X: np.ndarray, y: np.ndarray, cfg: ForestConfig,
         scores = predict_scores(forest, X[test_idx])
         pred = (scores >= cfg.threshold).astype(np.int64)
         all_pred[test_idx] = pred
-        yt = y[test_idx]
-        per_fold.append(_metrics(
-            tp=int(np.sum((pred == 1) & (yt == 1))),
-            fp=int(np.sum((pred == 1) & (yt == 0))),
-            tn=int(np.sum((pred == 0) & (yt == 0))),
-            fn=int(np.sum((pred == 0) & (yt == 1)))))
+        per_fold.append(_metrics(**_confusion(pred, y[test_idx])))
     if np.any(all_pred < 0):
         raise InvariantError("folds did not cover the dataset")
-    tp = int(np.sum((all_pred == 1) & (y == 1)))
-    fp = int(np.sum((all_pred == 1) & (y == 0)))
-    tn = int(np.sum((all_pred == 0) & (y == 0)))
-    fn = int(np.sum((all_pred == 0) & (y == 1)))
-    overall = _metrics(tp, fp, tn, fn)
+    confusion = _confusion(all_pred, y)
+    overall = _metrics(**confusion)
     per_kind = {}
     if kinds is not None:
         kinds = np.asarray(kinds)
         for kind in sorted(set(kinds.tolist())):
             m = kinds == kind
-            per_kind[kind] = _metrics(
-                tp=int(np.sum((all_pred == 1) & (y == 1) & m)),
-                fp=int(np.sum((all_pred == 1) & (y == 0) & m)),
-                tn=int(np.sum((all_pred == 0) & (y == 0) & m)),
-                fn=int(np.sum((all_pred == 0) & (y == 1) & m)))
-    return EvalReport(
-        accuracy=overall["accuracy"],
-        precision=overall["precision"],
-        recall=overall["recall"],
-        confusion={"tp": tp, "fp": fp, "tn": tn, "fn": fn},
-        per_fold=per_fold,
-        per_kind=per_kind,
-    )
+            per_kind[kind] = _metrics(**_confusion(all_pred[m], y[m]))
+    return EvalReport(overall["accuracy"], overall["precision"],
+                      overall["recall"], confusion, per_fold, per_kind)
 
 
 # -- persistence --------------------------------------------------------------
@@ -418,28 +397,11 @@ def save_forest(forest: Forest, fh: IO[str]) -> None:
         "feature_version": forest.feature_version,
         "feature_names": list(forest.feature_names),
         "config": asdict(forest.config),
-        "trees": forest.trees,
+        "trees": [tree._asdict() for tree in forest.trees],
     }
     # encoded whole before the first write, so a failure leaves no partial
     # model behind
-    try:
-        text = json.dumps(payload, sort_keys=True)
-    except RecursionError as exc:
-        depths = [_depth(tree) for tree in forest.trees]
-        i = depths.index(max(depths))
-        raise InputError(f"model tree {i} is {depths[i]} levels deep, too "
-                         "deep to write as JSON") from exc
-    fh.write(text + "\n")
-
-
-def _depth(tree: dict) -> int:
-    """Levels of ``tree``, its root and leaves included."""
-    depth, level = 0, [tree]
-    while level:
-        depth += 1
-        level = [child for node in level if "f" in node
-                 for child in (node["left"], node["right"])]
-    return depth
+    fh.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
 def _is_int(value) -> bool:
@@ -470,27 +432,37 @@ def _is_threshold(t) -> bool:
             <= sys.float_info.max and float(t) == t)
 
 
-def _check_tree(tree, n_features: int, where: str) -> None:
-    """Raise InputError unless every node of ``tree`` has class counts with
-    a positive sum and every split names a feature and a finite
-    threshold."""
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        counts = node.get("counts") if isinstance(node, dict) else None
-        if not (isinstance(counts, list) and len(counts) == 2
+def _check_tree(tree, n_features: int, where: str) -> Tree:
+    """The Tree that ``tree``, as read from JSON, holds. Raise InputError
+    unless its four lists have one length, every node has class counts with
+    a positive sum, a feature index or -1 and a finite threshold, and every
+    split's right child comes after its left child, ``i + 1``. So every walk
+    down the tree moves to higher indices and ends."""
+    if not (isinstance(tree, dict) and tree.keys() == set(Tree._fields)
+            and all(type(v) is list for v in tree.values())
+            and len({len(v) for v in tree.values()}) == 1
+            and tree["counts"]):
+        raise InputError(f"{where}: expected the arrays "
+                         f"{', '.join(sorted(Tree._fields))} of one length, "
+                         f"at least 1: {tree!r:.60}")
+    tree = Tree(**tree)
+    n = len(tree.counts)
+    for i, (f, t, r, counts) in enumerate(zip(*tree)):
+        if not (type(counts) is list and len(counts) == 2
                 and all(type(c) is int and c >= 0 for c in counts)
                 and sum(counts) > 0):
-            raise InputError(f"{where}: node without counts [n0, n1]: "
-                             f"{node!r:.60}")
-        if "f" in node:
-            f, t = node["f"], node.get("t")
-            if not (type(f) is int and 0 <= f < n_features
-                    and _is_threshold(t)):
-                raise InputError(f"{where}: split needs a feature index "
-                                 f"below {n_features} and a finite threshold, "
-                                 f"not {f!r:.20} and {t!r:.40}")
-            stack += [node.get("left"), node.get("right")]
+            raise InputError(f"{where}: node {i} without counts [n0, n1]: "
+                             f"{counts!r:.60}")
+        if not (type(f) is int and -1 <= f < n_features
+                and _is_threshold(t)):
+            raise InputError(f"{where}: split needs a feature index "
+                             f"below {n_features} and a finite threshold, "
+                             f"not {f!r:.20} and {t!r:.40} at node {i}")
+        if not (type(r) is int and (i + 1 < r < n if f >= 0 else r == -1)):
+            raise InputError(f"{where}: node {i} has right child {r!r:.20}; "
+                             f"a split's lies in ({i + 1}, {n}), a leaf's "
+                             "is -1")
+    return tree
 
 
 def load_forest(fh: IO[str]) -> Forest:
@@ -514,8 +486,8 @@ def load_forest(fh: IO[str]) -> Forest:
     if not payload["trees"]:
         raise InputError("model has no trees")
     names = payload["feature_names"]
-    for i, tree in enumerate(payload["trees"]):
-        _check_tree(tree, len(names), f"model tree {i}")
+    trees = [_check_tree(tree, len(names), f"model tree {i}")
+             for i, tree in enumerate(payload["trees"])]
     for name, value in payload["config"].items():
         if name not in _CONFIG_FIELDS:
             raise InputError(f"model field 'config' has unknown key {name!r}")
@@ -523,6 +495,6 @@ def load_forest(fh: IO[str]) -> Forest:
         if not valid(value):
             raise InputError(f"model field 'config': {name!r} must be {what}, "
                              f"not {json.dumps(value):.40}")
-    return Forest(trees=payload["trees"], feature_names=tuple(names),
+    return Forest(trees=trees, feature_names=tuple(names),
                   feature_version=payload["feature_version"],
                   config=ForestConfig(**payload["config"]))

@@ -530,6 +530,19 @@ def reference_trees(X, y, cfg: ForestConfig) -> list:
     return trees
 
 
+def nested(tree):
+    """A flat pre-order ``forest.Tree`` as the nested dicts the references
+    walk: a leaf is ``{"counts"}``, a split also has ``f``, ``t``, ``left``
+    and ``right``."""
+    def node(i):
+        out = {"counts": tree.counts[i]}
+        if tree.feature[i] >= 0:
+            out.update(f=tree.feature[i], t=tree.threshold[i],
+                       left=node(i + 1), right=node(tree.right[i]))
+        return out
+    return node(0)
+
+
 def _reference_leaf_p1(node, x):
     while "f" in node:
         node = node["left"] if x[node["f"]] <= node["t"] else node["right"]

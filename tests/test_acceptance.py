@@ -252,7 +252,7 @@ def test_criterion_5_importance_additivity(dataset, trained):
                                     features_per_split="all", seed=0)
     keep = forest.balance(y, seed=1)
     stump = forest.train(X[keep], y[keep], stump_cfg, FEATURE_NAMES)
-    split_feature = FEATURE_NAMES[stump.trees[0]["f"]]
+    split_feature = FEATURE_NAMES[stump.trees[0].feature[0]]
     ranked = forest.feature_importance(stump, take)
     ok = ok and ranked[0] == (split_feature, 100.0)
     _report(5, f"prior+contributions reproduce scores on 1000 instances; "

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from linkscrub import features
-from linkscrub.cli import main, run
+from linkscrub import features, forest
+from linkscrub.cli import _join_matrix_labels, main, run
 from linkscrub.trace import write_trace
+from test_forest import levels
 from test_trace import HEADER, MALFORMED
 
 
@@ -77,7 +78,7 @@ def test_full_pipeline(runner, corpus, tmp_path):
         "train", "--matrix", str(matrix), "--labels", str(root / "labels.csv"),
         "--trees", "20", "-o", str(model)])
     assert result.exit_code == 0, result.output
-    assert json.loads(model.read_text())["format"] == 1
+    assert json.loads(model.read_text())["format"] == 2
 
     result = runner.invoke(main, [
         "predict", "--model", str(model), "--matrix", str(matrix),
@@ -122,7 +123,7 @@ def test_predict_rows_have_the_header_field_count(explain, tb, tmp_path):
          .build())
     with open(tmp_path / "t.jsonl", "w", encoding="utf-8") as fh:
         write_trace(t, fh)
-    (tmp_path / "model.json").write_text(_model([{**_SPLIT, "f": 0}]))
+    (tmp_path / "model.json").write_text(_model([_split(0)]))
     runner = CliRunner()
     result = runner.invoke(main, ["features", str(tmp_path / "t.jsonl"),
                                   "-o", str(tmp_path / "m.csv")])
@@ -243,12 +244,18 @@ def _matrix(*rows):
 _ROW = "t,n,s.example,t.example,uid,query," + ",".join(
     ["0"] * len(features.FEATURE_NAMES))
 _LABELS = "site,fqdn,key,label,provenance\n"
-_SPLIT = {"counts": [1, 1], "f": 50, "t": 0.5,
-          "left": {"counts": [1, 0]}, "right": {"counts": [0, 1]}}
+_LEAF = {"counts": [[1, 1]], "feature": [-1], "right": [-1],
+         "threshold": [0.0]}
+
+
+def _split(f, t=0.5):
+    """A tree of one split on feature ``f`` at ``t`` and two leaves."""
+    return {"counts": [[1, 1], [1, 0], [0, 1]], "feature": [f, -1, -1],
+            "right": [2, -1, -1], "threshold": [t, 0.0, 0.0]}
 
 
 def _model(trees, names=features.FEATURE_NAMES, config=None):
-    return json.dumps({"format": 1, "trees": trees, "feature_names": names,
+    return json.dumps({"format": 2, "trees": trees, "feature_names": names,
                        "feature_version": features.FEATURE_VERSION,
                        "config": config or {}})
 
@@ -294,21 +301,23 @@ MALFORMED_INPUTS = {
                            "line 1: expected header"),
     "model not JSON": ({"model.json": "{nope", "m.csv": _matrix()}, _PREDICT,
                        "model is not JSON"),
-    "model without trees": ({"model.json": '{"format": 1}',
+    "model without trees": ({"model.json": '{"format": 2}',
                              "m.csv": _matrix()}, _PREDICT, "'trees'"),
     "model with no trees": ({"model.json": _model([]),
                              "m.csv": _matrix(_ROW)}, _PREDICT, "no trees"),
     "model config with unknown key": (
-        {"model.json": _model([{"counts": [1, 1]}], config={"depth": 3}),
+        {"model.json": _model([_LEAF], config={"depth": 3}),
          "m.csv": _matrix(_ROW)}, _PREDICT, "'config'"),
-    "model node without counts": ({"model.json": _model([{}]),
+    "model node without counts": ({"model.json": _model(
+                                       [{**_LEAF, "counts": [None]}]),
                                    "m.csv": _matrix(_ROW)}, _PREDICT,
                                   "model tree 0"),
     "model with a NaN threshold": (
-        {"model.json": _model([{**_SPLIT, "f": 0, "t": float("nan")}]),
+        {"model.json": _model([_split(0, float("nan"))]),
          "m.csv": _matrix(_ROW)}, _PREDICT, "model tree 0: split needs"),
     "model of other features": (
-        {"model.json": _model([_SPLIT], ["f"] * 51), "m.csv": _matrix(_ROW)},
+        {"model.json": _model([_split(50)], ["f"] * 51),
+         "m.csv": _matrix(_ROW)},
         _PREDICT, "feature names"),
 }
 for _name, (_events, _code) in MALFORMED.items():
@@ -323,7 +332,8 @@ MALFORMED_INPUTS["trace not UTF-8"] = (
 MALFORMED_INPUTS["trace line nesting 100,000 deep"] = (
     {"t.jsonl": HEADER + "\n" + "[" * 100_000 + "\n"}, ["parse", "t.jsonl"],
     "line 2: JSON nests too deeply")
-# written out as text: json.dumps would itself recurse too deeply
+# a nested tree, as format 1 held it, written out as text: json.dumps would
+# itself recurse too deeply
 _DEEP_TREE = ('{"counts": [1, 1], "f": 0, "t": 0.5, "left": ' * 3000
               + '{"counts": [1, 0]}'
               + ', "right": {"counts": [0, 1]}}' * 3000)
@@ -342,7 +352,7 @@ for _name, _config, _field in (
         ("bootstrap an integer", {"bootstrap": 1}, "'bootstrap'"),
         ("seed negative", {"seed": -1}, "'seed'")):
     MALFORMED_INPUTS[f"model config {_name}"] = (
-        {"model.json": _model([{"counts": [1, 1]}], config=_config),
+        {"model.json": _model([_LEAF], config=_config),
          "m.csv": _matrix(_ROW)}, _PREDICT, f"'config': {_field} must be")
 
 
@@ -368,10 +378,6 @@ def _deep_tree_inputs(n=3000):
     return {"m.csv": _matrix(*rows), "l.csv": _LABELS + labels}
 
 
-MALFORMED_INPUTS["matrix that grows a tree too deep to save"] = (
-    _deep_tree_inputs(), _TRAIN + ["--trees", "1"], "model tree 0 is")
-
-
 @pytest.mark.parametrize("files,argv,expected", MALFORMED_INPUTS.values(),
                          ids=MALFORMED_INPUTS)
 def test_malformed_input_exits_1_without_traceback(
@@ -390,3 +396,31 @@ def test_malformed_input_exits_1_without_traceback(
     # a failed train leaves no partial model behind
     out = tmp_path / "x.json"
     assert not out.exists() or out.read_bytes() == b""
+
+
+def test_a_tree_over_a_thousand_levels_deep_saves_and_predicts(
+        tmp_path, monkeypatch):
+    files = _deep_tree_inputs()
+    for name, content in files.items():
+        (tmp_path / name).write_text(content)
+    monkeypatch.chdir(tmp_path)
+    runner = CliRunner()
+    result = runner.invoke(main, _TRAIN + ["--trees", "1"])
+    assert result.exit_code == 0, result.output
+    with open("x.json", encoding="utf-8") as fh:
+        (tree,) = forest.load_forest(fh).trees
+    assert levels(tree) > 1000
+    result = runner.invoke(main, ["predict", "--model", "x.json",
+                                  "--matrix", "m.csv"])
+    assert result.exit_code == 0, result.output
+    _header, *rows = csv.reader(io.StringIO(result.stdout))
+    # the same model trained in this process, never saved
+    _meta, X, y, _kinds = _join_matrix_labels(io.StringIO(files["m.csv"]),
+                                              io.StringIO(files["l.csv"]))
+    cfg = forest.ForestConfig(tree_count=1)
+    keep = forest.balance(y, seed=cfg.seed)
+    model = forest.train(X[keep], y[keep], cfg, features.FEATURE_NAMES)
+    _meta, X = features.read_feature_matrix(io.StringIO(files["m.csv"]))
+    assert model.trees == [tree]
+    assert ([row[4] for row in rows]
+            == [repr(s) for s in forest.predict_scores(model, X).tolist()])

@@ -1,7 +1,10 @@
 import io
+import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import Phase, find, given, settings, strategies as st
 
 from linkscrub import forest
 from linkscrub.errors import InputError
@@ -51,9 +54,8 @@ def test_stump_matches_exhaustive_split_oracle():
         model = forest.train(X, y, _stump_config(), [f"f{i}" for i in range(5)])
         tree = model.trees[0]
         score, f, t = _oracle_best_stump(X, y)
-        assert "f" in tree
-        assert tree["f"] == f
-        assert tree["t"] == pytest.approx(t, abs=1e-12)
+        assert tree.feature[0] == f
+        assert tree.threshold[0] == pytest.approx(t, abs=1e-12)
 
 
 def test_stump_perfect_on_separable_data():
@@ -178,10 +180,11 @@ def test_load_rejects_unknown_format():
 def test_load_rejects_a_threshold_no_float_holds(threshold):
     # every row would go right of a NaN threshold; a huge integer does not
     # convert to a float, and 2**53 + 3 rounds to 2**53 + 4
-    tree = ('{"counts": [1, 1], "f": 0, "t": %s, "left": {"counts": [1, 0]}, '
-            '"right": {"counts": [0, 1]}}' % threshold)
-    text = ('{"format": 1, "feature_names": ["a"], "feature_version": "1", '
-            '"config": {}, "trees": [{"counts": [1, 0]}, %s]}' % tree)
+    tree = ('{"counts": [[1, 1], [1, 0], [0, 1]], "feature": [0, -1, -1], '
+            '"right": [2, -1, -1], "threshold": [%s, 0, 0]}' % threshold)
+    text = ('{"format": 2, "feature_names": ["a"], "feature_version": "1", '
+            '"config": {}, "trees": [{"counts": [[1, 0]], "feature": [-1], '
+            '"right": [-1], "threshold": [0]}, %s]}' % tree)
     with pytest.raises(InputError, match="model tree 1: .*finite threshold"):
         forest.load_forest(io.StringIO(text))
 
@@ -212,7 +215,7 @@ def test_split_between_adjacent_floats_leaves_no_empty_child(low):
     cfg = forest.ForestConfig(tree_count=1, bootstrap=False,
                               features_per_split="all")
     model = forest.train(X, y, cfg, ["f0"])
-    assert model.trees[0]["t"] == low
+    assert model.trees[0].threshold[0] == low
     buf = io.StringIO()
     forest.save_forest(model, buf)
     buf.seek(0)
@@ -221,13 +224,126 @@ def test_split_between_adjacent_floats_leaves_no_empty_child(low):
         == [1.0, 0.0]
 
 
+def levels(tree):
+    """Levels of a flat tree, its root and leaves included."""
+    depth = [1] * len(tree.right)
+    for i, r in enumerate(tree.right):  # a child comes after its parent
+        if r >= 0:
+            depth[i + 1] = depth[r] = depth[i] + 1
+    return max(depth)
+
+
 def test_tree_deeper_than_the_recursion_limit():
     # the best split of alternating labels peels one row off an end
     X = np.arange(1500.0)[:, None]
     y = np.arange(1500) % 2
     cfg = forest.ForestConfig(tree_count=2, bootstrap=False)
     model = forest.train(X, y, cfg, ["f0"])
-    assert forest.predict_scores(model, X).tolist() == y.tolist()
-    assert forest._depth(model.trees[0]) == 1500
+    scores = forest.predict_scores(model, X)
+    assert scores.tolist() == y.tolist()
+    assert levels(model.trees[0]) == 1500
+    buf = io.StringIO()
+    forest.save_forest(model, buf)
+    buf.seek(0)
+    again = forest.load_forest(buf)
+    assert again.trees == model.trees
+    assert (forest.predict_scores(again, X) == scores).all()
     report = forest.cross_validate(X, y, cfg, ["f0"], k=2, seed=0)
     assert sum(report.confusion.values()) == 1500
+
+
+@pytest.mark.parametrize("width", [2, 10])
+def test_a_matrix_of_other_width_is_refused(width):
+    X, y = _toy_data(n=60, seed=10)
+    names = [f"f{i}" for i in range(5)]
+    model = forest.train(X, y, forest.ForestConfig(tree_count=2), names)
+    other = np.zeros((3, width))
+    with pytest.raises(InputError, match=f"5 feature .*{width}"):
+        forest.predict_scores(model, other)
+    with pytest.raises(InputError, match=f"5 feature .*{width}"):
+        forest.decompose_prediction(model, other[0])
+    with pytest.raises(InputError, match=f"5 feature .*{width}"):
+        forest.feature_importance(model, other)
+    with pytest.raises(InputError, match=f"{width} feature .*5"):
+        forest.train(X, y, forest.ForestConfig(tree_count=2),
+                     [f"f{i}" for i in range(width)])
+
+
+def _small_model_json():
+    X, y = _toy_data(n=40, seed=11, gap=False)
+    model = forest.train(X, y, forest.ForestConfig(tree_count=2, seed=3),
+                         [f"f{i}" for i in range(5)])
+    buf = io.StringIO()
+    forest.save_forest(model, buf)
+    return json.loads(buf.getvalue())
+
+
+_MODEL = _small_model_json()
+# what may replace a list entry: ints in and out of range, a bool, a float
+# where an int belongs, a NaN threshold, a list, nothing
+_ENTRIES = st.sampled_from([-2, -1, 0, 1, 2, 4, 5, 7, 1000, True, False, 1.0,
+                            0.5, math.nan, [1, 0], [0, 0], [1], None, "0"])
+
+
+@st.composite
+def _mutated_models(draw):
+    """A valid format 2 model with one or two of its trees' entries
+    changed: a key dropped, a list cut or grown, an entry replaced."""
+    payload = json.loads(json.dumps(_MODEL))
+    for _ in range(draw(st.integers(1, 2))):
+        tree = draw(st.sampled_from(payload["trees"]))
+        name = draw(st.sampled_from(sorted(tree)))
+        how = draw(st.sampled_from(["drop", "cut", "grow", "entry", "entry",
+                                    "entry", "right"]))
+        values = tree[name]
+        if how == "drop":
+            del tree[name]
+        elif how == "grow":
+            values.append(draw(_ENTRIES))
+        elif how in ("cut", "entry") and values:
+            i = draw(st.integers(0, len(values) - 1))
+            if how == "cut":
+                del values[i]
+            else:
+                values[i] = draw(_ENTRIES)
+        elif how == "right" and tree.get("right"):
+            # a right child at or before its node, or past the end
+            n = len(tree["right"])
+            i = draw(st.integers(0, n - 1))
+            tree["right"][i] = draw(st.sampled_from([i, i - 1, i + 1, n]))
+    return payload
+
+
+def _load_outcome(payload):
+    """The loaded forest, or the text of the InputError that refused it."""
+    try:
+        return forest.load_forest(io.StringIO(json.dumps(payload)))
+    except InputError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mutated_models())
+def test_mutated_model_loads_and_scores_or_names_its_tree(payload):
+    X, _y = _toy_data(n=20, seed=12)
+    model = _load_outcome(payload)
+    if isinstance(model, str):
+        assert model.startswith("model tree "), model
+        return
+    scores = forest.predict_scores(model, X)
+    assert ((0 <= scores) & (scores <= 1)).all()
+    for x in X[:3]:
+        forest.decompose_prediction(model, x)
+
+
+@pytest.mark.parametrize("outcome", [
+    "loads", "of one length", "without counts", "split needs",
+    "right child"])
+def test_mutated_model_strategy_reaches(outcome):
+    def reached(payload):
+        model = _load_outcome(payload)
+        return (outcome in model if isinstance(model, str)
+                else outcome == "loads")
+    find(_mutated_models(), reached,
+         settings=settings(max_examples=2000, deadline=None, database=None,
+                           phases=[Phase.generate]))

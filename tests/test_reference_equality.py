@@ -9,6 +9,7 @@ evidence, equal floats, equal labels, equal trees and model bytes, equal
 scores and explanations, equal sanitized URLs and equal audits."""
 
 import copy
+import dataclasses
 import json
 import random
 from unittest import mock
@@ -34,7 +35,7 @@ from linkscrub.urls import (RuleIndex, decompose, decoded_decorations,
 
 from conftest import TraceBuilder
 from reference_scan import (ReferenceGraphIndex, ReferenceViewMetrics,
-                            reference_decompose_prediction,
+                            nested, reference_decompose_prediction,
                             reference_detect_exfiltration,
                             reference_features_for_graph,
                             reference_label_decorations,
@@ -488,14 +489,15 @@ def _forests(draw):
 def test_forest_equals_reference_recursive_trees(case):
     X, y, cfg = case
     model = forest.train(X, y, cfg, [f"f{i}" for i in range(X.shape[1])])
+    trees = [nested(tree) for tree in model.trees]
     expected = reference_trees(X, y, cfg)
-    assert model.trees == expected
+    assert trees == expected
     # dict == holds for -0.0 == 0.0; the bytes of model.json would differ
-    assert (json.dumps(model.trees, sort_keys=True)
+    assert (json.dumps(trees, sort_keys=True)
             == json.dumps(expected, sort_keys=True))
     rows = _rows_around(X)
     assert (forest.predict_scores(model, rows)
-            == reference_predict_scores(model.trees, rows)).all()
+            == reference_predict_scores(trees, rows)).all()
 
 
 def _rows_around(X):
@@ -508,16 +510,19 @@ def _rows_around(X):
 def test_explanations_equal_reference_dict_walk(case):
     X, y, cfg = case
     model = forest.train(X, y, cfg, [f"f{i}" for i in range(X.shape[1])])
+    ref_model = dataclasses.replace(
+        model, trees=[nested(tree) for tree in model.trees])
     rows = _rows_around(X)
     for x in rows:
         prior, contrib, score = forest.decompose_prediction(model, x)
         ref_prior, ref_contrib, ref_score = reference_decompose_prediction(
-            model, x)
+            ref_model, x)
         assert prior == ref_prior and score == ref_score
         assert contrib.dtype == ref_contrib.dtype
         assert (contrib == ref_contrib).all()
-    with mock.patch.object(forest, "decompose_prediction",
-                           reference_decompose_prediction):
+    with mock.patch.object(
+            forest, "decompose_prediction",
+            lambda _model, x: reference_decompose_prediction(ref_model, x)):
         expected = forest.feature_importance(model, rows)
     assert forest.feature_importance(model, rows) == expected
 
@@ -530,11 +535,12 @@ def test_hundred_tree_scores_equal_reference():
     y = (X[:, 0] + rng.normal(size=200) > 1).astype(np.int64)
     cfg = forest.ForestConfig(tree_count=100, seed=7)
     model = forest.train(X, y, cfg, [f"f{i}" for i in range(6)])
-    assert model.trees == reference_trees(X, y, cfg)
+    trees = [nested(tree) for tree in model.trees]
+    assert trees == reference_trees(X, y, cfg)
     scores = forest.predict_scores(model, X)
-    assert (scores == reference_predict_scores(model.trees, X)).all()
+    assert (scores == reference_predict_scores(trees, X)).all()
     # and here a sum from left to right would differ from it
-    per_tree = [reference_predict_scores([tree], X) for tree in model.trees]
+    per_tree = [reference_predict_scores([tree], X) for tree in trees]
     assert (sum(per_tree) / 100 != scores).any()
 
 
