@@ -2,13 +2,14 @@
 view, content features, and flow features including a second copy of the
 structural metrics over the shared-information (flow) view.
 
-A graph's vectors come from one pass over its decorations (``_vectors``).
-Each view is one CSR adjacency and its degree arrays, built from the view's
-edges; one batched BFS per view, from one source per twin class, gives all
-decorations' nine view metrics as tuples. The 18 ``REQUEST_LEVEL_FEATURES``
-(ancestry, parent script, its storage and requests, redirects, and
-infiltrations) depend only on the request and are computed once per request,
-entropy once per value string, and the rest once per decoration.
+A graph's vectors come from one pass over its decorations
+(``features_for_graph``). Each view is one CSR adjacency and its degree
+arrays, built from the view's edges; one batched BFS per view, from one
+source per twin class, gives all decorations' nine view metrics as tuples.
+The 18 ``REQUEST_LEVEL_FEATURES`` (ancestry, parent script, its storage and
+requests, redirects, and infiltrations) depend only on the request and are
+computed once per request, entropy once per value string, and the rest once
+per decoration.
 
 The feature name list is fixed and versioned; the matrix file writer embeds
 the version in every feature column header.
@@ -25,7 +26,7 @@ from typing import IO, Callable, Iterable, Optional
 import numpy as np
 
 from .errors import InputError
-from .graph import DECORATION, HTML, INTERACTION, SCRIPT, PageGraph
+from .graph import HTML, INTERACTION, SCRIPT, PageGraph
 
 FEATURE_VERSION = "1"
 
@@ -126,19 +127,17 @@ class ViewMetrics:
     The view is held once, as arrays built from its edge list: degrees, where
     multi-edges count and a self-loop adds 2, and the CSR adjacency of the
     simple undirected projection, where paths run. ``rows`` gives each
-    node's nine metrics as one tuple; its first call searches the asked
-    nodes and every decoration of the view at once, a later one only the
-    asked nodes not yet searched. Twins, nodes with equal CSR index rows
-    (as bytes), have equal level vectors and one component, so a class takes
-    one BFS source; an isolated node is a class of its own. A component has
+    asked node's nine metrics as one tuple, from one batched search of the
+    asked nodes alone. Twins, nodes with equal CSR index rows (as bytes),
+    have equal level vectors and one component, so a class takes one BFS
+    source; an isolated node is a class of its own. A component has
     1 + sum(levels) nodes and half its degree sum in edges. Closeness adds
     1/d per node at distance d, in ascending d, as a per-node BFS would, so
     ``sum`` gives the same float; it is kept per level vector.
     """
 
     def __init__(self, nodes, edges):
-        kinds = {nd.id: nd.kind for nd in nodes}
-        pos = self._position = {nid: i for i, nid in enumerate(kinds)}
+        pos = self._position = {nd.id: i for i, nd in enumerate(nodes)}
         n = len(pos)
         src = np.array([pos[e.src] for e in edges], dtype=np.int64)
         dst = np.array([pos[e.dst] for e in edges], dtype=np.int64)
@@ -163,11 +162,6 @@ class ViewMetrics:
         self._local = np.vstack((
             np.bincount(dst, minlength=n), np.bincount(src, minlength=n),
             degree, adc)).tolist()
-        # decorations the first search takes in one batch
-        self._unsearched = [i for i, kind in enumerate(kinds.values())
-                            if kind == DECORATION]
-        # per node: its nine metrics, once searched
-        self._rows: list = [None] * n
         # level vector -> closeness sum before dividing by n - 1
         self._closeness: dict[tuple, float] = {}
 
@@ -213,39 +207,32 @@ class ViewMetrics:
         """Each node's metrics in ``FEATURE_NAMES[:9]`` order; all zeros for
         a node outside the view."""
         positions = [self._position.get(nid) for nid in node_ids]
-        done = self._rows
-        new = [i for i in positions if i is not None and done[i] is None]
-        if new:
-            ends = (self._indptr * self._indices.itemsize).tolist()
-            raw = self._indices.tobytes()
-            classes: dict = {}
-            for s in dict.fromkeys(new + self._unsearched):
-                row = raw[ends[s]:ends[s + 1]]
-                classes.setdefault(row or s, []).append(s)
-            self._unsearched = []
-            found = self._level_counts([c[0] for c in classes.values()])
-            in_degree, out_degree, degree, adc = self._local
-            for twins, (levels, degree_sum) in zip(classes.values(), found):
-                n_nodes, n_edges = 1 + sum(levels), degree_sum // 2
-                closeness = 0.0
-                if levels:
-                    key = tuple(levels)
-                    closeness = self._closeness.get(key)
-                    if closeness is None:
-                        closeness = self._closeness[key] = sum(
-                            chain.from_iterable(repeat(1.0 / d, count) for d,
-                                                count in enumerate(levels, 1)))
-                    closeness /= (n_nodes - 1)
-                size = (float(n_nodes), float(n_edges),
-                        n_nodes / n_edges if n_edges else 0.0)
-                for s in twins:
-                    done[s] = (*size, in_degree[s], out_degree[s], degree[s],
-                               adc[s], closeness, float(len(levels)))
+        ends = (self._indptr * self._indices.itemsize).tolist()
+        raw = self._indices.tobytes()
+        classes: dict = {}
+        for s in dict.fromkeys(i for i in positions if i is not None):
+            row = raw[ends[s]:ends[s + 1]]
+            classes.setdefault(row or s, []).append(s)
+        found = self._level_counts([c[0] for c in classes.values()])
+        in_degree, out_degree, degree, adc = self._local
+        done = {}
+        for twins, (levels, degree_sum) in zip(classes.values(), found):
+            n_nodes, n_edges = 1 + sum(levels), degree_sum // 2
+            closeness = 0.0
+            if levels:
+                key = tuple(levels)
+                closeness = self._closeness.get(key)
+                if closeness is None:
+                    closeness = self._closeness[key] = sum(
+                        chain.from_iterable(repeat(1.0 / d, count) for d,
+                                            count in enumerate(levels, 1)))
+                closeness /= (n_nodes - 1)
+            size = (float(n_nodes), float(n_edges),
+                    n_nodes / n_edges if n_edges else 0.0)
+            for s in twins:
+                done[s] = (*size, in_degree[s], out_degree[s], degree[s],
+                           adc[s], closeness, float(len(levels)))
         return [(0.0,) * 9 if i is None else done[i] for i in positions]
-
-    def metrics(self, node_id: str, prefix: str = "") -> dict[str, float]:
-        return dict(zip([prefix + n for n in FEATURE_NAMES[:9]],
-                        self.rows([node_id])[0]))
 
 
 _ANCESTRY_LABELS = ("splits", "initiates", "creates", "redirects")
@@ -271,9 +258,8 @@ class _GraphIndex:
     ``out[label][node]`` lists the far ends of the node's outgoing edges
     with that label, in edge order, and ``into[label][node]`` those of its
     incoming edges. The label is an interaction edge's sub-kind or a flow
-    edge's kind. ``requests`` keeps each request's ``REQUEST_LEVEL_FEATURES``
-    as a tuple, with how many of its decorations precede each URL section;
-    ``scripts`` keeps the part of that block each parent script decides.
+    edge's kind. ``scripts`` keeps the part of a request's
+    ``REQUEST_LEVEL_FEATURES`` that each parent script decides.
     """
 
     def __init__(self, g: PageGraph):
@@ -291,7 +277,6 @@ class _GraphIndex:
         self.flow_parents: dict[str, list[str]] = {}
         for e in flow_edges:
             self.flow_parents.setdefault(e.dst, []).append(e.src)
-        self.requests: dict[str, tuple[tuple, tuple]] = {}
         self.scripts: dict[Optional[str], dict[str, float]] = {}
 
     def ancestry_parents(self, node_id: str) -> list[str]:
@@ -393,27 +378,29 @@ def _request_block(index: _GraphIndex, request_id: str) -> dict[str, float]:
     return {name: block[name] for name in REQUEST_LEVEL_FEATURES}
 
 
-def _vectors(g: PageGraph, decorations: list,
-             index: _GraphIndex) -> list[dict[str, float]]:
-    """The feature vectors of ``decorations``, in their order: both views'
-    rows for all of them at once, then per decoration one tuple in
-    ``FEATURE_NAMES`` order and one dict. ``index`` keeps each request's
-    block and section counts; entropy is kept per value string."""
+def features_for_graph(g: PageGraph) -> list[tuple[str, dict[str, float]]]:
+    """(node_id, feature vector) for every decoration node, in node-id order:
+    both views' rows for all of them at once, then per decoration one tuple
+    in ``FEATURE_NAMES`` order and one dict. Each request's block and
+    section counts are worked out once, and entropy once per value string."""
+    decorations = sorted(g.decoration_nodes(), key=lambda n: n.id)
+    index = _GraphIndex(g)
     nodes, out, into = g.nodes, index.out, index.into
     flow_parents = index.flow_parents
     ids = [dec.id for dec in decorations]
+    requests: dict[str, tuple[tuple, tuple]] = {}
     entropy: dict[str, float] = {}
     vectors = []
     for dec, view, flow in zip(decorations, index.interaction.rows(ids),
                                index.flow.rows(ids)):
         node_id, attrs = dec.id, dec.attrs
         request_id = attrs["request"]
-        known = index.requests.get(request_id)
+        known = requests.get(request_id)
         if known is None:
             # a depth counts the decorations of the earlier URL sections
             kinds = [nodes[d].attrs["kind"]
                      for d in out["splits"].get(request_id, ())]
-            known = index.requests[request_id] = (
+            known = requests[request_id] = (
                 tuple(_request_block(index, request_id).values()),
                 (0, *accumulate(kinds.count(k) for k in _SECTIONS[:2])))
         block, before = known
@@ -455,31 +442,8 @@ def _vectors(g: PageGraph, decorations: list,
             name, bad = next((n, v) for n, v in zip(FEATURE_NAMES, row)
                              if not math.isfinite(v))
             raise ValueError(f"non-finite feature {name}={bad}")
-        vectors.append(dict(zip(FEATURE_NAMES, row)))
+        vectors.append((node_id, dict(zip(FEATURE_NAMES, row))))
     return vectors
-
-
-def extract_features(g: PageGraph, node_id: str,
-                     index: Optional[_GraphIndex] = None) -> dict[str, float]:
-    """Full feature vector for one decoration node. Raises KeyError if the
-    node is absent and ValueError if it is not a decoration node."""
-    node = g.nodes[node_id]
-    if node.kind != DECORATION:
-        raise ValueError(f"{node_id} is not a decoration node")
-    if index is None:
-        index = _GraphIndex(g)
-    return _vectors(g, [node], index)[0]
-
-
-def features_for_graph(g: PageGraph) -> list[tuple[str, dict[str, float]]]:
-    """(node_id, feature vector) for every decoration node, in node-id order."""
-    decorations = sorted(g.decoration_nodes(), key=lambda n: n.id)
-    return list(zip([dec.id for dec in decorations],
-                    _vectors(g, decorations, _GraphIndex(g))))
-
-
-def vector_to_array(fv: dict[str, float]) -> np.ndarray:
-    return np.array([fv[name] for name in FEATURE_NAMES], dtype=np.float64)
 
 
 # -- feature matrix file ------------------------------------------------------

@@ -229,18 +229,6 @@ def predict_scores(forest: Forest, X: np.ndarray) -> np.ndarray:
     return P.mean(axis=1)
 
 
-def predict(forest: Forest, x, feature_version: Optional[str] = None
-            ) -> tuple[int, float]:
-    """(label, score) for a single feature vector; ATS iff score >= threshold."""
-    if feature_version is not None and feature_version != forest.feature_version:
-        raise InputError(
-            f"feature version mismatch: model has {forest.feature_version}, "
-            f"input has {feature_version}")
-    score = float(predict_scores(forest, np.asarray(x)[None, :])[0])
-    label = ATS_CLASS if score >= forest.config.threshold else NON_ATS_CLASS
-    return label, score
-
-
 def decompose_prediction(forest: Forest, x: np.ndarray):
     """Path-contribution decomposition of one prediction.
 

@@ -26,10 +26,6 @@ INTERACTION = "interaction"
 EXFILTRATION = "exfiltration"
 INFILTRATION = "infiltration"
 
-# interaction sub-kinds; "splits" carries request -> decoration edges
-SUBKINDS = ("set", "get", "initiates", "creates", "responds", "redirects",
-            "splits")
-
 ENCODINGS = ("plain", "base64", "md5", "sha1", "sha256")
 HEX_ENCODINGS = frozenset({"md5", "sha1", "sha256"})
 

@@ -12,8 +12,7 @@ import csv
 from dataclasses import dataclass
 from typing import IO, Iterable, Optional
 
-from . import urls
-from .errors import InputError, RuleLoadError, UrlParseError
+from .errors import InputError, RuleLoadError
 from .graph import EXFILTRATION, PageGraph
 from .urls import DecorationId, fqdn_pattern_matches, fqdn_patterns
 
@@ -76,19 +75,6 @@ def parse_request_rules(lines: Iterable[str]) -> list[RequestRule]:
         else:
             rules.append(RequestRule(line))
     return rules
-
-
-def match_request_filter(url: str, rules: Iterable[RequestRule]) -> str:
-    """ATS iff any rule matches ``url``; NonATS otherwise. ``rules`` is a
-    :class:`RequestRuleIndex`, or any iterable of rules, indexed on each
-    call."""
-    index = rules if isinstance(rules, RequestRuleIndex) \
-        else RequestRuleIndex(rules)
-    try:
-        fqdn = urls.decompose(url).fqdn
-    except UrlParseError:
-        fqdn = ""
-    return ATS if index.matches(url, fqdn) else NON_ATS
 
 
 @dataclass(frozen=True)

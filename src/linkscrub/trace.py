@@ -58,7 +58,6 @@ PAYLOAD_FIELDS = {
     "element_create": {"element_id": ("string", True),
                        "tag": ("string", False)},
 }
-EVENT_KINDS = frozenset(PAYLOAD_FIELDS)
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ per-decoration labeling with its scan of every request rule, the recursive
 tree grower with its per-feature float split search, row-by-row scoring and
 the explanation that adds into a numpy array, and the sanitizer's scan of
 every rule for every decoration that ``graph.detect_exfiltration``,
-``features.ViewMetrics``, ``features.extract_features``,
+``features.ViewMetrics``, ``features.features_for_graph``,
 ``labels.label_decorations`` with its ``RequestRuleIndex``, the array-backed
 and rank-coded ``forest`` and ``urls.RuleIndex`` replaced. The replacements
 must give equal edges, evidence, floats, labels, trees, scores,
@@ -20,7 +20,7 @@ import numpy as np
 
 from linkscrub.errors import UrlParseError
 from linkscrub.features import (AD_KEYWORDS, FEATURE_NAMES, FP_KEYWORDS,
-                                ViewMetrics, shannon_entropy)
+                                shannon_entropy)
 from linkscrub.forest import ForestConfig
 from linkscrub.graph import (DECORATION, ENCODINGS, EXFILTRATION,
                              HEX_ENCODINGS, HTML, INTERACTION, SCRIPT, STORAGE,
@@ -177,9 +177,9 @@ class ReferenceGraphIndex:
 
     def __init__(self, g):
         self.g = g
-        self.interaction = ViewMetrics(g.nodes.values(), g.edges)
+        self.interaction = ReferenceViewMetrics(g.nodes.values(), g.edges)
         flow_nodes, flow_edges = g.flow_view()
-        self.flow = ViewMetrics(flow_nodes, flow_edges)
+        self.flow = ReferenceViewMetrics(flow_nodes, flow_edges)
         self.ancestry_rev = {}
         self.initiates_out = {}
         self.initiates_in = {}
@@ -395,7 +395,8 @@ def reference_features_for_graph(g):
 
 
 def reference_match_request_filter(url, rules):
-    """``labels.match_request_filter`` testing every rule in turn."""
+    """A request URL's label from a test of every request rule in turn,
+    where ``labels.RequestRuleIndex.matches`` looks the rules up."""
     try:
         fqdn = decompose(url).fqdn
     except UrlParseError:

@@ -17,8 +17,7 @@ import conftest
 from linkscrub import evasion, filters, forest, labels as L, urls
 from linkscrub.cli import main as cli_main
 from linkscrub.features import (FEATURE_NAMES, REQUEST_LEVEL_FEATURES,
-                                extract_features, features_for_graph,
-                                shannon_entropy, vector_to_array)
+                                features_for_graph, shannon_entropy)
 from linkscrub.graph import EXFILTRATION, build_full_graph
 from linkscrub.synthetic import SyntheticConfig, generate_synthetic
 from linkscrub.urls import DecorationId
@@ -63,9 +62,17 @@ def _labeled_matrix(traces, planted, min_len=8):
                 y.append(0)
             else:
                 continue
-            X.append(vector_to_array(fv))
+            X.append([fv[name] for name in FEATURE_NAMES])
             meta.append((dec_id, node.attrs["kind"]))
     return np.array(X), np.array(y, dtype=np.int64), meta
+
+
+def _predict(model, x):
+    """(label, score) of one feature vector: ATS iff its score reaches the
+    model's threshold."""
+    [score] = forest.predict_scores(model, np.asarray(x)[None, :]).tolist()
+    return (forest.ATS_CLASS if score >= model.config.threshold
+            else forest.NON_ATS_CLASS), score
 
 
 @pytest.fixture(scope="module")
@@ -189,8 +196,9 @@ def test_criterion_3_feature_recount():
     structural = ("node_count", "edge_count", "nodes_per_edge", "in_degree",
                   "out_degree", "degree", "avg_degree_connectivity",
                   "closeness_centrality", "eccentricity")
+    vectors = dict(features_for_graph(g))
     for dec in g.decoration_nodes():
-        fv = extract_features(g, dec.id)
+        fv = vectors[dec.id]
         plain = _metrics_from_dump(dump, dec.id)
         flow = _metrics_from_dump(dump, dec.id, flow=True)
         for name in structural:
@@ -298,10 +306,9 @@ def test_criterion_6_rename_invariance(corpus, trained):
                 ok = ok and path_rows(entries_b) == path_rows(entries_a)
             # predictions unchanged for the position-stable decorations
             for b, a in zip(b_qf, a_qf):
-                xb = vector_to_array(b[3])
-                xa = vector_to_array(a[3])
-                ok = ok and forest.predict(trained, xb) == \
-                    forest.predict(trained, xa)
+                xb = np.array([b[3][n] for n in FEATURE_NAMES])
+                xa = np.array([a[3][n] for n in FEATURE_NAMES])
+                ok = ok and _predict(trained, xb) == _predict(trained, xa)
     _report(6, "rename evasion: query/fragment vectors and predictions "
                "unchanged; path moves touch only the depth feature", ok)
 
@@ -343,7 +350,8 @@ def test_criterion_7_evasion_bounds(corpus):
                     lab = sub_planted.get(
                         DecorationId(dec_id.site, dec_id.fqdn, base))
             if lab in ("ATS", "NonATS"):
-                split_rows.append((vector_to_array(fv), int(lab == "ATS")))
+                split_rows.append(([fv[n] for n in FEATURE_NAMES],
+                                   int(lab == "ATS")))
     Xs = np.array([r[0] for r in split_rows])
     ys = np.array([r[1] for r in split_rows])
     split_acc = float(np.mean(
@@ -370,7 +378,7 @@ def test_criterion_7_evasion_bounds(corpus):
             if node.attrs["request"] not in ats_requests:
                 continue
             x = np.array([fv[n] for n in REQUEST_LEVEL_FEATURES])
-            label, _score = forest.predict(rmodel, x)
+            label, _score = _predict(rmodel, x)
             total += 1
             detected += int(label == forest.ATS_CLASS)
     detection = detected / total

@@ -198,7 +198,9 @@ def test_generate_rejects_short_identifier(tmp_path):
     assert proc.returncode == 1
 
 
-def test_emit_list_refuses_other_feature_version(corpus, tmp_path):
+@pytest.mark.parametrize("command", ["predict", "emit-list"])
+def test_model_commands_refuse_other_feature_version(corpus, tmp_path,
+                                                     command):
     root, traces = corpus
     matrix = tmp_path / "matrix.csv"
     model = tmp_path / "model.json"
@@ -214,7 +216,7 @@ def test_emit_list_refuses_other_feature_version(corpus, tmp_path):
     saved["feature_version"] = "2"
     model.write_text(json.dumps(saved), encoding="utf-8")
     proc = subprocess.run(
-        [sys.executable, "-m", "linkscrub.cli", "emit-list",
+        [sys.executable, "-m", "linkscrub.cli", command,
          "--model", str(model), "--matrix", str(matrix)],
         capture_output=True, text=True)
     assert proc.returncode == 1

@@ -5,8 +5,8 @@ from unittest import mock
 import pytest
 
 from linkscrub.features import (FEATURE_NAMES, REQUEST_LEVEL_FEATURES,
-                                ViewMetrics, extract_features,
-                                features_for_graph, shannon_entropy)
+                                ViewMetrics, features_for_graph,
+                                shannon_entropy)
 from linkscrub.graph import DECORATION, Edge, Node, build_full_graph
 
 from conftest import TraceBuilder
@@ -46,7 +46,7 @@ def test_hand_graph_shape():
 
 def test_hand_graph_uid_feature_vector():
     g = hand_graph()
-    fv = extract_features(g, "decoration:r1:query:1")
+    fv = dict(features_for_graph(g))["decoration:r1:query:1"]
     expected = {
         "node_count": 10.0,
         "edge_count": 10.0,
@@ -101,7 +101,7 @@ def test_hand_graph_uid_feature_vector():
 
 def test_hand_graph_clean_decoration_has_no_flow_metrics():
     g = hand_graph()
-    fv = extract_features(g, "decoration:r1:query:0")  # ISBN=ABC
+    fv = dict(features_for_graph(g))["decoration:r1:query:0"]  # ISBN=ABC
     assert fv["cookie_exfiltration_count"] == 0.0
     assert fv["flow_node_count"] == 0.0
     assert fv["shannon_entropy"] == pytest.approx(math.log2(3))
@@ -111,8 +111,9 @@ def test_hand_graph_clean_decoration_has_no_flow_metrics():
 
 def test_path_and_fragment_depth_and_section():
     g = hand_graph()
-    path0 = extract_features(g, "decoration:r1:path:0")
-    frag = extract_features(g, "decoration:r1:fragment:0")
+    vectors = dict(features_for_graph(g))
+    path0 = vectors["decoration:r1:path:0"]
+    frag = vectors["decoration:r1:fragment:0"]
     assert path0["max_decoration_depth"] == 0.0
     assert path0["url_section"] == 0.0
     assert frag["max_decoration_depth"] == 4.0  # 2 path + 2 query + 0
@@ -129,8 +130,8 @@ def test_only_depth_feature_depends_on_position():
           .request("document", "r1", "https://t.example/?b=www&a=vvv")
           .build())
     g1, g2 = build_full_graph(t1), build_full_graph(t2)
-    fv1 = extract_features(g1, "decoration:r1:query:0")  # a=vvv
-    fv2 = extract_features(g2, "decoration:r1:query:1")  # a=vvv moved
+    fv1 = dict(features_for_graph(g1))["decoration:r1:query:0"]  # a=vvv
+    fv2 = dict(features_for_graph(g2))["decoration:r1:query:1"]  # moved
     diff = {n for n in FEATURE_NAMES if fv1[n] != fv2[n]}
     assert diff == {"max_decoration_depth"}
 
@@ -140,7 +141,7 @@ def test_ad_and_fp_keyword_features(tb):
          .request("s1", "r1", "https://t.example/?a=1")
          .build())
     g = build_full_graph(t)
-    fv = extract_features(g, "decoration:r1:query:0")
+    fv = dict(features_for_graph(g))["decoration:r1:query:0"]
     assert fv["ancestor_ad_keyword"] == 1.0
     assert fv["ancestor_fp_keyword"] == 1.0
 
@@ -150,7 +151,8 @@ def test_eval_parent_flag(tb):
          .request("e1", "r1", "https://t.example/?a=1")
          .build())
     g = build_full_graph(t)
-    assert extract_features(g, "decoration:r1:query:0")["parent_is_eval"] == 1.0
+    fv = dict(features_for_graph(g))["decoration:r1:query:0"]
+    assert fv["parent_is_eval"] == 1.0
 
 
 def test_redirect_depth_feature(tb):
@@ -161,7 +163,7 @@ def test_redirect_depth_feature(tb):
               to_url="https://c.example/?u=1")
          .build())
     g = build_full_graph(t)
-    fv = extract_features(g, "decoration:r3:query:0")
+    fv = dict(features_for_graph(g))["decoration:r3:query:0"]
     assert fv["parent_redirect_depth"] == 2.0
 
 
@@ -174,7 +176,7 @@ def test_request_level_features_are_request_constant():
 
 def test_feature_order_fixed():
     g = hand_graph()
-    fv = extract_features(g, "decoration:r1:query:1")
+    fv = dict(features_for_graph(g))["decoration:r1:query:1"]
     assert tuple(fv.keys()) == FEATURE_NAMES
 
 
@@ -185,12 +187,6 @@ def test_element_that_creates_itself_ends_the_parent_script_walk(tb):
          .build())
     [(_node, fv)] = features_for_graph(build_full_graph(t))
     assert fv["descendant_of_script"] == 0.0
-
-
-def test_extract_rejects_non_decoration_nodes():
-    g = hand_graph()
-    with pytest.raises(ValueError):
-        extract_features(g, "network:req:r1")
 
 
 # -- structural metrics vs. an independent shortest-path oracle ---------------
@@ -250,18 +246,18 @@ def test_view_metrics_match_oracle_on_random_graphs():
                  for _ in range(rng.randint(0, 2 * n))]
         # drop self loops; the builder never creates them
         edges = [e for e in edges if e.src != e.dst]
-        vm = ViewMetrics(nodes, edges)
-        for target in [nd.id for nd in nodes]:
-            got = vm.metrics(target)
+        ids = [nd.id for nd in nodes]
+        for target, got in zip(ids, ViewMetrics(nodes, edges).rows(ids)):
             want = _oracle_metrics(nodes, edges, target)
-            for key, val in want.items():
-                assert got[key] == pytest.approx(val, abs=1e-12), \
+            for (key, val), value in zip(want.items(), got):
+                assert value == pytest.approx(val, abs=1e-12), \
                     (seed, target, key)
 
 
 def test_twin_decorations_share_one_bfs_source(tb):
     """a and b hang only off their request, so they are twins; uid also
-    hangs off the storage it exfiltrates."""
+    hangs off the storage it exfiltrates. A call searches only the classes
+    of the nodes it is asked for."""
     t = (tb.script("s1").set("s1", "cookie", "uid", "abcdefgh1234")
          .request("s1", "r1", "https://t.example/?a=1&b=2&uid=abcdefgh1234")
          .build())
@@ -276,11 +272,14 @@ def test_twin_decorations_share_one_bfs_source(tb):
         return original(self, batch)
 
     with mock.patch.object(ViewMetrics, "_level_counts", spy):
+        first = vm.rows(names[2:])
+        assert sources == [list(vm._position).index(names[2])]
+        sources.clear()
         rows = vm.rows(names)
     searched = {list(vm._position)[i] for i in sources}
     assert len(sources) == len(searched)
     assert len(searched & set(names[:2])) == 1 and names[2] in searched
-    assert rows[0] == rows[1] != rows[2]
+    assert rows[0] == rows[1] != rows[2] == first[0]
     for name, row in zip(names, rows):
         want = _oracle_metrics(nodes, edges, name)
         assert row == pytest.approx(tuple(want.values()), abs=1e-12), name
@@ -290,6 +289,4 @@ def test_twin_decorations_share_one_bfs_source(tb):
     ([], 0.0), ([Node("x", DECORATION)], 1.0)],
     ids=["empty view", "isolated node"])
 def test_view_metrics_without_edges(nodes, node_count):
-    metrics = ViewMetrics(nodes, []).metrics("x")
-    assert metrics == {**dict.fromkeys(FEATURE_NAMES[:9], 0.0),
-                       "node_count": node_count}
+    assert ViewMetrics(nodes, []).rows(["x"]) == [(node_count,) + (0.0,) * 8]

@@ -83,9 +83,9 @@ def test_prediction_ties_resolve_to_ats():
     cfg = forest.ForestConfig(tree_count=3, bootstrap=False, seed=0,
                               features_per_split="all")
     model = forest.train(X, y, cfg, ["f0"])
-    label, score = forest.predict(model, np.array([0.0]))
+    [score] = forest.predict_scores(model, np.array([[0.0]]))
     assert score == 0.5
-    assert label == forest.ATS_CLASS
+    assert score >= model.config.threshold
 
 
 def test_path_contribution_additivity():
@@ -187,14 +187,6 @@ def test_load_rejects_a_threshold_no_float_holds(threshold):
             '"right": [-1], "threshold": [0]}, %s]}' % tree)
     with pytest.raises(InputError, match="model tree 1: .*finite threshold"):
         forest.load_forest(io.StringIO(text))
-
-
-def test_predict_rejects_feature_version_mismatch():
-    X, y = _toy_data(n=50, seed=8)
-    model = forest.train(X, y, forest.ForestConfig(tree_count=2), ["a"] * 5,
-                         feature_version="1")
-    with pytest.raises(InputError):
-        forest.predict(model, X[0], feature_version="2")
 
 
 def test_non_finite_input_rejected():

@@ -27,15 +27,13 @@ def test_parse_request_rules_rejects_unsupported(line):
 
 
 def test_match_request_filter():
-    rules = L.parse_request_rules(["||tracker.example^", "/adimg/"])
-    assert L.match_request_filter(
-        "https://a.tracker.example/x", rules) == L.ATS
-    assert L.match_request_filter(
-        "https://tracker.example/x", rules) == L.ATS
-    assert L.match_request_filter(
-        "https://nottracker.example.org/adimg/b.gif", rules) == L.ATS
-    assert L.match_request_filter(
-        "https://clean.example/x", rules) == L.NON_ATS
+    index = L.RequestRuleIndex(
+        L.parse_request_rules(["||tracker.example^", "/adimg/"]))
+    assert index.matches("https://a.tracker.example/x", "a.tracker.example")
+    assert index.matches("https://tracker.example/x", "tracker.example")
+    assert index.matches("https://nottracker.example.org/adimg/b.gif",
+                         "nottracker.example.org")
+    assert not index.matches("https://clean.example/x", "clean.example")
 
 
 def test_cookie_purpose_specific_beats_global():

@@ -24,8 +24,7 @@ from linkscrub.errors import UrlParseError
 from linkscrub.filters import FilterRule
 from linkscrub.features import (_BFS_BLOCK, REQUEST_LEVEL_FEATURES,
                                 ViewMetrics, _ancestors, _GraphIndex,
-                                _request_block, extract_features,
-                                features_for_graph)
+                                _request_block, features_for_graph)
 from linkscrub.graph import (DECORATION, ENCODINGS, EXFILTRATION,
                              INFILTRATION, Edge, Node, attach_decoration_nodes,
                              build_full_graph, build_graph,
@@ -158,14 +157,14 @@ def test_view_metrics_equal_reference_bfs(graph):
     nodes, edges, order = graph
     vm, ref = ViewMetrics(nodes, edges), ReferenceViewMetrics(nodes, edges)
     for node_id in order + ["absent"]:
-        assert vm.metrics(node_id, "flow_") == ref.metrics(node_id, "flow_")
+        assert vm.rows([node_id]) == [tuple(ref.metrics(node_id).values())]
 
 
 @settings(max_examples=300, deadline=None)
 @given(_graphs(), st.data())
 def test_view_metrics_rows_equal_reference_bfs(graph, data):
     """Rows for ids in any order, with repeats and absent ids, asked for in
-    two calls, so the second searches only what the first did not."""
+    two calls, each of which searches only the ids it is given."""
     nodes, edges, order = graph
     ids = data.draw(st.lists(st.sampled_from(order + ["absent"]),
                              max_size=24))
@@ -186,8 +185,8 @@ def test_view_metrics_equal_reference_bfs_across_blocks():
                   "interaction", "splits") for _ in range(n)]
     vm, ref = ViewMetrics(nodes, edges), ReferenceViewMetrics(nodes, edges)
     assert sum(nd.kind == DECORATION for nd in nodes) > 2 * _BFS_BLOCK
-    for node in reversed(nodes):
-        assert vm.metrics(node.id) == ref.metrics(node.id)
+    ids = [node.id for node in reversed(nodes)]
+    assert vm.rows(ids) == [tuple(ref.metrics(i).values()) for i in ids]
 
 
 def test_view_metrics_memoize_the_closeness_sum_before_dividing():
@@ -204,10 +203,10 @@ def test_view_metrics_memoize_the_closeness_sum_before_dividing():
     nodes = [Node(n, DECORATION if n[0] == "d" else "script") for n in names]
     edges = [Edge(a, b, "interaction", "creates") for a, b in pairs]
     vm, ref = ViewMetrics(nodes, edges), ReferenceViewMetrics(nodes, edges)
+    rows = dict(zip(names, vm.rows(names)))
     for name in names:
-        assert vm.metrics(name) == ref.metrics(name)
-    closeness = {d: vm.metrics(d)["closeness_centrality"]
-                 for d in ("d1", "d2", "d3", "d4")}
+        assert rows[name] == tuple(ref.metrics(name).values())
+    closeness = {d: rows[d][7] for d in ("d1", "d2", "d3", "d4")}
     assert closeness == {"d1": 1.0, "d2": 1.0, "d3": 2.5 / 3,
                          "d4": (1 + 1 / 2 + 1 / 3) / 3}
     assert vm._closeness[(2,)] == 2.0
@@ -293,19 +292,6 @@ def test_features_equal_reference_per_decoration(t, min_len):
     assert rows == reference_features_for_graph(g)
     # a numpy scalar equals its float but prints differently in the matrix
     assert all(type(v) is float for _, fv in rows for v in fv.values())
-
-
-@settings(max_examples=100, deadline=None)
-@given(_page(), st.sampled_from([0, 8]))
-def test_extract_features_equals_the_graph_row(t, min_len):
-    """One decoration alone, with its own index or one shared in reverse
-    order, gets the row that ``features_for_graph`` gives it."""
-    g = build_full_graph(t, min_len=min_len)
-    rows = features_for_graph(g)
-    index = _GraphIndex(g)
-    for node_id, fv in reversed(rows):
-        assert repr(extract_features(g, node_id)) == repr(fv)
-        assert repr(extract_features(g, node_id, index)) == repr(fv)
 
 
 @settings(max_examples=100, deadline=None)
@@ -404,11 +390,14 @@ _request_rule_lists = st.lists(
 
 
 @settings(max_examples=600, deadline=None)
-@given(_request_urls(), _request_rule_lists, st.booleans())
-def test_request_filter_equals_reference_scan(url, rules, indexed):
-    passed = labels.RequestRuleIndex(rules) if indexed else rules
-    assert (labels.match_request_filter(url, passed)
-            == reference_match_request_filter(url, rules))
+@given(_request_urls(), _request_rule_lists)
+def test_request_filter_equals_reference_scan(url, rules):
+    try:
+        fqdn = decompose(url).fqdn
+    except UrlParseError:
+        fqdn = ""
+    assert (labels.RequestRuleIndex(rules).matches(url, fqdn)
+            == (reference_match_request_filter(url, rules) == labels.ATS))
 
 
 def _request_filter_cases(url, rules):
