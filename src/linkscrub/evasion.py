@@ -32,7 +32,7 @@ def _map_urls(trace: Trace,
         if field and field in ev.payload:
             payload = dict(ev.payload)
             payload[field] = fn(payload[field], ev)
-            events.append(replace(ev, payload=payload))
+            events.append(ev._replace(payload=payload))
         else:
             events.append(ev)
     return replace(trace, events=tuple(events))

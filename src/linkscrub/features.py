@@ -277,7 +277,7 @@ class _GraphIndex:
         self.flow_parents: dict[str, list[str]] = {}
         for e in flow_edges:
             self.flow_parents.setdefault(e.dst, []).append(e.src)
-        self.scripts: dict[Optional[str], dict[str, float]] = {}
+        self.scripts: dict[Optional[str], tuple] = {}
 
     def ancestry_parents(self, node_id: str) -> list[str]:
         into = self.into
@@ -313,10 +313,11 @@ class _GraphIndex:
         return depth
 
 
-def _script_block(index: _GraphIndex,
-                  parent: Optional[str]) -> dict[str, float]:
+def _script_block(index: _GraphIndex, parent: Optional[str]) -> tuple:
     """The request-level features that depend only on the request's parent
-    script (``None`` when it has none)."""
+    script (``None`` when it has none), in ``REQUEST_LEVEL_FEATURES`` order:
+    ``parent_is_eval``, the four storage counts, the four request and
+    redirect counts, and ``shared_storage_access``."""
     nodes, out, into = index.g.nodes, index.out, index.into
 
     def accesses(store: str, sub: str) -> float:
@@ -328,26 +329,22 @@ def _script_block(index: _GraphIndex,
     sharers = {script for s in storage for sub in ("set", "get")
                for script in into[sub].get(s, ())}
     sharers.discard(parent)
-    return {
-        "parent_is_eval": float(
-            parent is not None and nodes[parent].attrs.get("is_eval", False)),
-        "parent_ls_sets": accesses("localStorage", "set"),
-        "parent_ls_gets": accesses("localStorage", "get"),
-        "parent_cookie_sets": accesses("cookie", "set"),
-        "parent_cookie_gets": accesses("cookie", "get"),
-        "parent_requests_sent": float(len(sent)),
-        "parent_requests_received": float(sum(
-            len(out["responds"].get(r, ())) for r in sent)),
-        "parent_redirects_sent": float(sum(
-            len(out["redirects"].get(r, ())) for r in sent)),
-        "parent_redirects_received": float(sum(
-            len(into["redirects"].get(r, ())) for r in sent)),
-        "shared_storage_access": float(sum(
-            len(out["initiates"].get(script, ())) for script in sharers)),
-    }
+    return (
+        float(parent is not None and nodes[parent].attrs.get("is_eval", False)),
+        accesses("localStorage", "set"),
+        accesses("localStorage", "get"),
+        accesses("cookie", "set"),
+        accesses("cookie", "get"),
+        float(len(sent)),
+        float(sum(len(out["responds"].get(r, ())) for r in sent)),
+        float(sum(len(out["redirects"].get(r, ())) for r in sent)),
+        float(sum(len(into["redirects"].get(r, ())) for r in sent)),
+        float(sum(len(out["initiates"].get(script, ()))
+                  for script in sharers)),
+    )
 
 
-def _request_block(index: _GraphIndex, request_id: str) -> dict[str, float]:
+def _request_block(index: _GraphIndex, request_id: str) -> tuple:
     """The ``REQUEST_LEVEL_FEATURES`` shared by a request's decorations, in
     that order."""
     nodes = index.g.nodes
@@ -360,29 +357,26 @@ def _request_block(index: _GraphIndex, request_id: str) -> dict[str, float]:
     script_block = index.scripts.get(parent)
     if script_block is None:
         script_block = index.scripts[parent] = _script_block(index, parent)
-    block = {
-        "ancestor_count": float(len(ancestors)),
-        "ancestor_ad_keyword": float(
-            any(k in script_urls for k in AD_KEYWORDS)),
-        "ancestor_fp_keyword": float(
-            any(k in script_urls for k in FP_KEYWORDS)),
-        "ancestor_script_length": float(max(
-            (s.attrs.get("length", 0) for s in scripts), default=0)),
-        "descendant_of_script": float(bool(scripts)),
-        "script_predecessor_count": float(len(scripts)),
-        "parent_redirect_depth": float(index.redirect_chain_depth(request_id)),
-        "parent_infiltrations": float(
-            nodes[request_id].attrs.get("infiltrations", 0)),
-        **script_block,
-    }
-    return {name: block[name] for name in REQUEST_LEVEL_FEATURES}
+    return (
+        float(len(ancestors)),
+        float(any(k in script_urls for k in AD_KEYWORDS)),
+        float(any(k in script_urls for k in FP_KEYWORDS)),
+        float(max((s.attrs.get("length", 0) for s in scripts), default=0)),
+        float(bool(scripts)),
+        script_block[0],
+        float(len(scripts)),
+        *script_block[1:9],
+        float(index.redirect_chain_depth(request_id)),
+        script_block[9],
+        float(nodes[request_id].attrs.get("infiltrations", 0)),
+    )
 
 
-def features_for_graph(g: PageGraph) -> list[tuple[str, dict[str, float]]]:
+def features_for_graph(g: PageGraph) -> list[tuple[str, tuple[float, ...]]]:
     """(node_id, feature vector) for every decoration node, in node-id order:
     both views' rows for all of them at once, then per decoration one tuple
-    in ``FEATURE_NAMES`` order and one dict. Each request's block and
-    section counts are worked out once, and entropy once per value string."""
+    of floats in ``FEATURE_NAMES`` order. Each request's block and section
+    counts are worked out once, and entropy once per value string."""
     decorations = sorted(g.decoration_nodes(), key=lambda n: n.id)
     index = _GraphIndex(g)
     nodes, out, into = g.nodes, index.out, index.into
@@ -401,7 +395,7 @@ def features_for_graph(g: PageGraph) -> list[tuple[str, dict[str, float]]]:
             kinds = [nodes[d].attrs["kind"]
                      for d in out["splits"].get(request_id, ())]
             known = requests[request_id] = (
-                tuple(_request_block(index, request_id).values()),
+                _request_block(index, request_id),
                 (0, *accumulate(kinds.count(k) for k in _SECTIONS[:2])))
         block, before = known
         section = _SECTIONS.index(attrs["kind"])
@@ -442,7 +436,7 @@ def features_for_graph(g: PageGraph) -> list[tuple[str, dict[str, float]]]:
             name, bad = next((n, v) for n, v in zip(FEATURE_NAMES, row)
                              if not math.isfinite(v))
             raise ValueError(f"non-finite feature {name}={bad}")
-        vectors.append((node_id, dict(zip(FEATURE_NAMES, row))))
+        vectors.append((node_id, row))
     return vectors
 
 
@@ -456,39 +450,43 @@ def _versioned(name: str) -> str:
 
 
 def write_feature_matrix(rows: Iterable[dict], fh: IO[str]) -> None:
-    """Rows carry the meta columns plus a ``features`` dict."""
+    """Rows carry the meta columns plus a ``features`` tuple in
+    ``FEATURE_NAMES`` order; ``csv`` writes each float as its ``repr``."""
     writer = csv.writer(fh)
     writer.writerow(list(_META_COLUMNS) + [_versioned(n) for n in FEATURE_NAMES])
     for row in rows:
-        writer.writerow(
-            [row[c] for c in _META_COLUMNS]
-            + [repr(row["features"][n]) for n in FEATURE_NAMES])
+        writer.writerow((*[row[c] for c in _META_COLUMNS], *row["features"]))
 
 
 def read_feature_matrix(fh: IO[str]):
-    """Returns (meta_rows, X) and validates the feature-name version."""
+    """Returns (meta_rows, X) and validates the feature-name version. The
+    cells go straight into ``X``, one row's floats alive at a time."""
     reader = csv.reader(fh)
+    n_meta = len(_META_COLUMNS)
+    width = n_meta + len(FEATURE_NAMES)
+    meta = []
+
+    def vectors():
+        for row in reader:
+            if len(row) != width:
+                raise InputError(f"line {reader.line_num}: expected "
+                                 f"{width} fields, got {len(row)}")
+            try:
+                values = [float(v) for v in row[n_meta:]]
+            except ValueError as exc:
+                raise InputError(f"line {reader.line_num}: {exc}") from exc
+            meta.append(dict(zip(_META_COLUMNS, row)))
+            yield values
+
     try:
         header = next(reader, None)
-        expected = list(_META_COLUMNS) + [_versioned(n)
-                                          for n in FEATURE_NAMES]
-        if header != expected:
+        if header != list(_META_COLUMNS) + [_versioned(n)
+                                            for n in FEATURE_NAMES]:
             raise InputError(
                 "line 1: feature matrix header does not match feature "
                 f"version {FEATURE_VERSION}")
-        meta = []
-        data = []
-        for row in reader:
-            if len(row) != len(expected):
-                raise InputError(f"line {reader.line_num}: expected "
-                                 f"{len(expected)} fields, got {len(row)}")
-            try:
-                data.append([float(v) for v in row[len(_META_COLUMNS):]])
-            except ValueError as exc:
-                raise InputError(f"line {reader.line_num}: {exc}") from exc
-            meta.append(dict(zip(_META_COLUMNS, row[:len(_META_COLUMNS)])))
+        X = np.fromiter(chain.from_iterable(vectors()), np.float64).reshape(
+            -1, len(FEATURE_NAMES))
     except csv.Error as exc:
         raise InputError(f"line {reader.line_num}: {exc}") from exc
-    X = np.array(data, dtype=np.float64) if data else \
-        np.empty((0, len(FEATURE_NAMES)))
     return meta, X

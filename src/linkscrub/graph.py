@@ -10,7 +10,7 @@ from __future__ import annotations
 import base64
 import hashlib
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import urls
 from .errors import UrlParseError
@@ -34,15 +34,14 @@ DEFAULT_MIN_VALUE_LEN = 8
 DOCUMENT_NODE = "html:document"
 
 
-@dataclass
+@dataclass(slots=True)
 class Node:
     id: str
     kind: str
     attrs: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     src: str
     dst: str
     kind: str  # interaction | exfiltration | infiltration
@@ -74,7 +73,7 @@ class PageGraph:
     def ensure_node(self, node_id: str, node_kind: str, **attrs) -> Node:
         node = self.nodes.get(node_id)
         if node is None:
-            node = Node(node_id, node_kind, dict(attrs))
+            node = Node(node_id, node_kind, attrs)
             self.nodes[node_id] = node
         else:
             for k, v in attrs.items():

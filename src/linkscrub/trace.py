@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import IO, Callable, Iterable, Iterator, Mapping, Optional, Union
+from typing import (IO, Callable, Iterable, Iterator, Mapping, NamedTuple,
+                    Optional, Union)
 
 from .errors import TraceParseError
 
@@ -60,8 +61,7 @@ PAYLOAD_FIELDS = {
 }
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     seq: int
     kind: str
     page_url: str
@@ -70,7 +70,7 @@ class TraceEvent:
     payload: Mapping
 
     def to_record(self) -> dict:
-        return {**vars(self), "payload": dict(self.payload)}
+        return {**self._asdict(), "payload": dict(self.payload)}
 
 
 @dataclass(frozen=True)
@@ -91,6 +91,10 @@ class Finding:
     seqs: tuple[int, ...] = ()
 
 
+def _field(path: str, name: str) -> str:
+    return f"{path}.{name}" if path else name
+
+
 def _problems(value, jtype, path: str) -> list[tuple[str, str]]:
     """(code, message) for each way ``value``, found at ``path``, breaks
     ``jtype``: a JSON type name, a dict of an object's fields, or a
@@ -109,13 +113,13 @@ def _problems(value, jtype, path: str) -> list[tuple[str, str]]:
         return _problems(value, "object", path or "event")
     problems = []
     for name, (field_type, required) in jtype.items():
-        at = f"{path}.{name}" if path else name
         if name not in value:
             if required:
-                problems.append(("missing-field", f"{at} is missing"))
+                problems.append(("missing-field",
+                                 f"{_field(path, name)} is missing"))
         elif not (isinstance(field_type, str)  # the common case, made cheap
                   and JSON_TYPES[field_type](value[name])):
-            problems += _problems(value[name], field_type, at)
+            problems += _problems(value[name], field_type, _field(path, name))
     if not problems and jtype is _STORAGE:  # storage events and entries
         if value["store"] not in STORES:
             problems.append(("bad-store", f"{path}.store {value['store']!r} "
@@ -216,7 +220,8 @@ def parse_trace(stream: Union[IO[str], Iterable[str]]) -> Trace:
 def validate_trace(t: Trace) -> list[Finding]:
     """Non-mutating invariant check; an empty report means the trace is valid."""
     return [Finding(code, message, (t.events[i].seq,))
-            for i, code, message in check_events(map(vars, t.events), t.site)]
+            for i, code, message in check_events(
+                map(TraceEvent._asdict, t.events), t.site)]
 
 
 def dump_trace(t: Trace) -> str:

@@ -15,7 +15,7 @@ import string
 from dataclasses import dataclass, replace
 from itertools import groupby
 from operator import itemgetter
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 from urllib.parse import quote, unquote
 
 from .errors import UrlParseError
@@ -31,8 +31,7 @@ _REPLACEMENT_ALPHABET = string.ascii_letters + string.digits
 _TOKEN_SAFE = "-._~!$'()*+,;:@"
 
 
-@dataclass(frozen=True)
-class DecorationId:
+class DecorationId(NamedTuple):
     """Identity of a link decoration: (site, fqdn, key).
 
     ``key`` is the query/fragment key, ``path|<i>`` for the i-th directory
@@ -48,8 +47,7 @@ class DecorationId:
         return f"{self.fqdn}|{self.key}"
 
 
-@dataclass(frozen=True)
-class LinkDecoration:
+class LinkDecoration(NamedTuple):
     id: DecorationId
     kind: str  # path | query | fragment
     value: str  # percent-decoded once

@@ -1,8 +1,14 @@
-"""Shared trace-building helpers for the test suite."""
+"""Shared trace-building and feature-vector helpers for the test suite."""
 
 import pytest
 
+from linkscrub.features import FEATURE_NAMES
 from linkscrub.trace import Trace, TraceEvent
+
+
+def named(fv):
+    """A feature vector as a dict from feature name to value."""
+    return dict(zip(FEATURE_NAMES, fv))
 
 
 class TraceBuilder:

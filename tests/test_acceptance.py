@@ -14,7 +14,7 @@ from click.testing import CliRunner
 
 import conftest
 
-from linkscrub import evasion, filters, forest, labels as L, urls
+from linkscrub import evasion, filters, forest, urls
 from linkscrub.cli import main as cli_main
 from linkscrub.features import (FEATURE_NAMES, REQUEST_LEVEL_FEATURES,
                                 features_for_graph, shannon_entropy)
@@ -22,7 +22,7 @@ from linkscrub.graph import EXFILTRATION, build_full_graph
 from linkscrub.synthetic import SyntheticConfig, generate_synthetic
 from linkscrub.urls import DecorationId
 
-from conftest import TraceBuilder
+from conftest import named
 from oracle_exfil import oracle_exfil_pairs
 from test_features import _oracle_metrics, hand_graph
 from test_graph import random_trace
@@ -62,7 +62,7 @@ def _labeled_matrix(traces, planted, min_len=8):
                 y.append(0)
             else:
                 continue
-            X.append([fv[name] for name in FEATURE_NAMES])
+            X.append(list(fv))
             meta.append((dec_id, node.attrs["kind"]))
     return np.array(X), np.array(y, dtype=np.int64), meta
 
@@ -196,7 +196,8 @@ def test_criterion_3_feature_recount():
     structural = ("node_count", "edge_count", "nodes_per_edge", "in_degree",
                   "out_degree", "degree", "avg_degree_connectivity",
                   "closeness_centrality", "eccentricity")
-    vectors = dict(features_for_graph(g))
+    vectors = {node_id: named(fv)
+               for node_id, fv in features_for_graph(g)}
     for dec in g.decoration_nodes():
         fv = vectors[dec.id]
         plain = _metrics_from_dump(dump, dec.id)
@@ -300,14 +301,14 @@ def test_criterion_6_rename_invariance(corpus, trained):
                         if kind != "path":
                             continue
                         rows.append((value, tuple(
-                            fv[n] for n in FEATURE_NAMES
+                            v for n, v in named(fv).items()
                             if n != "max_decoration_depth")))
                     return sorted(rows)
                 ok = ok and path_rows(entries_b) == path_rows(entries_a)
             # predictions unchanged for the position-stable decorations
             for b, a in zip(b_qf, a_qf):
-                xb = np.array([b[3][n] for n in FEATURE_NAMES])
-                xa = np.array([a[3][n] for n in FEATURE_NAMES])
+                xb = np.array(b[3])
+                xa = np.array(a[3])
                 ok = ok and _predict(trained, xb) == _predict(trained, xa)
     _report(6, "rename evasion: query/fragment vectors and predictions "
                "unchanged; path moves touch only the depth feature", ok)
@@ -350,8 +351,7 @@ def test_criterion_7_evasion_bounds(corpus):
                     lab = sub_planted.get(
                         DecorationId(dec_id.site, dec_id.fqdn, base))
             if lab in ("ATS", "NonATS"):
-                split_rows.append(([fv[n] for n in FEATURE_NAMES],
-                                   int(lab == "ATS")))
+                split_rows.append((list(fv), int(lab == "ATS")))
     Xs = np.array([r[0] for r in split_rows])
     ys = np.array([r[1] for r in split_rows])
     split_acc = float(np.mean(
@@ -377,7 +377,7 @@ def test_criterion_7_evasion_bounds(corpus):
             node = g_c.nodes[node_id]
             if node.attrs["request"] not in ats_requests:
                 continue
-            x = np.array([fv[n] for n in REQUEST_LEVEL_FEATURES])
+            x = np.array([fv[i] for i in ridx])
             label, _score = _predict(rmodel, x)
             total += 1
             detected += int(label == forest.ATS_CLASS)

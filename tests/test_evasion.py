@@ -4,13 +4,13 @@ import pytest
 
 from linkscrub.evasion import (combine_decorations, evade_combine,
                                evade_rename, evade_split)
-from linkscrub.features import FEATURE_NAMES, features_for_graph
+from linkscrub.features import features_for_graph
 from linkscrub.graph import build_full_graph
 from linkscrub.synthetic import SyntheticConfig, generate_synthetic
 from linkscrub.trace import Trace
 from linkscrub.urls import decompose
 
-from conftest import TraceBuilder
+from conftest import TraceBuilder, named
 
 CFG = SyntheticConfig(sites=4, seed=2, encodings=("plain", "base64"))
 
@@ -82,7 +82,7 @@ def test_rename_path_vectors_differ_only_in_depth():
                 for kind, _pos, value, fv in entries:
                     if kind != "path":
                         continue
-                    stripped = tuple(fv[n] for n in FEATURE_NAMES
+                    stripped = tuple(v for n, v in named(fv).items()
                                      if n != "max_decoration_depth")
                     rows.append((value, stripped))
                 return sorted(rows)

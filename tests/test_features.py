@@ -9,7 +9,11 @@ from linkscrub.features import (FEATURE_NAMES, REQUEST_LEVEL_FEATURES,
                                 shannon_entropy)
 from linkscrub.graph import DECORATION, Edge, Node, build_full_graph
 
-from conftest import TraceBuilder
+from conftest import TraceBuilder, named
+
+
+def vectors_by_id(g):
+    return {node_id: named(fv) for node_id, fv in features_for_graph(g)}
 
 
 @pytest.mark.parametrize("value,expected", [
@@ -47,6 +51,8 @@ def test_hand_graph_shape():
 def test_hand_graph_uid_feature_vector():
     g = hand_graph()
     fv = dict(features_for_graph(g))["decoration:r1:query:1"]
+    assert len(fv) == len(FEATURE_NAMES)
+    fv = named(fv)
     expected = {
         "node_count": 10.0,
         "edge_count": 10.0,
@@ -94,14 +100,13 @@ def test_hand_graph_uid_feature_vector():
         "flow_eccentricity": 2.0,
         "indirect_ancestor_count": 3.0,
     }
-    assert set(fv) == set(FEATURE_NAMES)
     for name in FEATURE_NAMES:
         assert fv[name] == pytest.approx(expected[name], abs=1e-9), name
 
 
 def test_hand_graph_clean_decoration_has_no_flow_metrics():
     g = hand_graph()
-    fv = dict(features_for_graph(g))["decoration:r1:query:0"]  # ISBN=ABC
+    fv = vectors_by_id(g)["decoration:r1:query:0"]  # ISBN=ABC
     assert fv["cookie_exfiltration_count"] == 0.0
     assert fv["flow_node_count"] == 0.0
     assert fv["shannon_entropy"] == pytest.approx(math.log2(3))
@@ -111,7 +116,7 @@ def test_hand_graph_clean_decoration_has_no_flow_metrics():
 
 def test_path_and_fragment_depth_and_section():
     g = hand_graph()
-    vectors = dict(features_for_graph(g))
+    vectors = vectors_by_id(g)
     path0 = vectors["decoration:r1:path:0"]
     frag = vectors["decoration:r1:fragment:0"]
     assert path0["max_decoration_depth"] == 0.0
@@ -130,8 +135,8 @@ def test_only_depth_feature_depends_on_position():
           .request("document", "r1", "https://t.example/?b=www&a=vvv")
           .build())
     g1, g2 = build_full_graph(t1), build_full_graph(t2)
-    fv1 = dict(features_for_graph(g1))["decoration:r1:query:0"]  # a=vvv
-    fv2 = dict(features_for_graph(g2))["decoration:r1:query:1"]  # moved
+    fv1 = vectors_by_id(g1)["decoration:r1:query:0"]  # a=vvv
+    fv2 = vectors_by_id(g2)["decoration:r1:query:1"]  # moved
     diff = {n for n in FEATURE_NAMES if fv1[n] != fv2[n]}
     assert diff == {"max_decoration_depth"}
 
@@ -141,7 +146,7 @@ def test_ad_and_fp_keyword_features(tb):
          .request("s1", "r1", "https://t.example/?a=1")
          .build())
     g = build_full_graph(t)
-    fv = dict(features_for_graph(g))["decoration:r1:query:0"]
+    fv = vectors_by_id(g)["decoration:r1:query:0"]
     assert fv["ancestor_ad_keyword"] == 1.0
     assert fv["ancestor_fp_keyword"] == 1.0
 
@@ -151,7 +156,7 @@ def test_eval_parent_flag(tb):
          .request("e1", "r1", "https://t.example/?a=1")
          .build())
     g = build_full_graph(t)
-    fv = dict(features_for_graph(g))["decoration:r1:query:0"]
+    fv = vectors_by_id(g)["decoration:r1:query:0"]
     assert fv["parent_is_eval"] == 1.0
 
 
@@ -163,21 +168,28 @@ def test_redirect_depth_feature(tb):
               to_url="https://c.example/?u=1")
          .build())
     g = build_full_graph(t)
-    fv = dict(features_for_graph(g))["decoration:r3:query:0"]
+    fv = vectors_by_id(g)["decoration:r3:query:0"]
     assert fv["parent_redirect_depth"] == 2.0
 
 
 def test_request_level_features_are_request_constant():
     g = hand_graph()
-    vectors = [fv for _nid, fv in features_for_graph(g)]
+    vectors = list(vectors_by_id(g).values())
     for name in REQUEST_LEVEL_FEATURES:
         assert len({fv[name] for fv in vectors}) == 1, name
 
 
 def test_feature_order_fixed():
-    g = hand_graph()
-    fv = dict(features_for_graph(g))["decoration:r1:query:1"]
-    assert tuple(fv.keys()) == FEATURE_NAMES
+    """Every row is one tuple of Python floats in ``FEATURE_NAMES`` order,
+    the order the matrix writer puts them in."""
+    rows = features_for_graph(hand_graph())
+    assert len(rows) == 5
+    for _node_id, fv in rows:
+        assert type(fv) is tuple and len(fv) == len(FEATURE_NAMES)
+        assert all(type(v) is float for v in fv)
+    fv = dict(rows)["decoration:r1:query:1"]
+    assert fv[FEATURE_NAMES.index("shannon_entropy")] == pytest.approx(
+        math.log2(6))
 
 
 def test_element_that_creates_itself_ends_the_parent_script_walk(tb):
@@ -185,7 +197,7 @@ def test_element_that_creates_itself_ends_the_parent_script_walk(tb):
          .add("element_request", actor="img1", request_id="r1",
               url="https://t.example/p?uid=abcdefgh12345678")
          .build())
-    [(_node, fv)] = features_for_graph(build_full_graph(t))
+    [fv] = vectors_by_id(build_full_graph(t)).values()
     assert fv["descendant_of_script"] == 0.0
 
 

@@ -4,11 +4,10 @@ import random
 
 import pytest
 
-from linkscrub.graph import (DECORATION, EXFILTRATION, INFILTRATION,
-                             INTERACTION, build_full_graph, build_graph,
-                             attach_decoration_nodes, detect_exfiltration,
-                             detect_infiltration, encode_candidates)
-from linkscrub.trace import Trace, TraceEvent
+from linkscrub.graph import (EXFILTRATION, INFILTRATION, INTERACTION,
+                             build_full_graph, build_graph,
+                             attach_decoration_nodes, detect_infiltration,
+                             encode_candidates)
 
 from conftest import TraceBuilder
 from oracle_exfil import oracle_exfil_pairs

@@ -3,7 +3,9 @@ raise ``InputError`` whose message starts with the line it stopped at."""
 
 import io
 import re
+from array import array
 
+import numpy as np
 import pytest
 from hypothesis import find, given, settings, strategies as st
 
@@ -77,3 +79,50 @@ def test_reader_strategy_reaches(read, header, row, sep):
     for kind, least in (("rows", 2), ("line", 3)):
         find(texts, lambda t: (o := _outcome(read, t))[0] == kind
              and o[1] >= least)
+
+
+_META = dict(zip(features._META_COLUMNS,
+                 ("t", "n", "s.example", "t.example", "uid", "query")))
+# shannon_entropy("aaaa") is -0.0
+_GOLDEN = [(features.shannon_entropy("aaaa"), "-0.0"), (5e-324, "5e-324"),
+           (1e16, "1e+16"), (0.1 + 0.2, "0.30000000000000004"),
+           (1e-05, "1e-05")]
+
+
+def _written(*vectors):
+    buf = io.StringIO(newline="")
+    features.write_feature_matrix(
+        ({**_META, "features": fv} for fv in vectors), buf)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("value,text", _GOLDEN, ids=[t for _, t in _GOLDEN])
+def test_matrix_writer_golden_cells(value, text):
+    """Each feature cell is its float's ``repr``; the reader gives the same
+    float back, sign of zero included."""
+    assert repr(value) == text
+    fv = (value,) * len(features.FEATURE_NAMES)
+    written = _written(fv)
+    _header, row = written.splitlines()
+    assert row == ",".join(list(_META.values()) + [text] * len(fv))
+    meta, X = features.read_feature_matrix(io.StringIO(written, newline=""))
+    assert meta == [_META]
+    assert X.shape == (1, len(fv))
+    assert X.tobytes() == array("d", fv).tobytes()
+
+
+@pytest.mark.parametrize("line", [2, 3, 6])
+def test_matrix_bad_cell_names_its_line(line):
+    """Line 1 is the header; a bad last cell on any later line is named."""
+    lines = _written(*[(1.0,) * len(features.FEATURE_NAMES)] * 5).splitlines()
+    lines[line - 1] = lines[line - 1].rsplit(",", 1)[0] + ",x"
+    with pytest.raises(InputError, match=rf"^line {line}: could not "
+                                         "convert string to float: 'x'"):
+        features.read_feature_matrix(io.StringIO("\n".join(lines) + "\n"))
+
+
+def test_empty_matrix_reads_as_no_rows():
+    meta, X = features.read_feature_matrix(io.StringIO(_written()))
+    assert meta == []
+    assert X.shape == (0, len(features.FEATURE_NAMES))
+    assert X.dtype == np.float64

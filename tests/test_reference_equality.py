@@ -36,6 +36,7 @@ from conftest import TraceBuilder
 from reference_scan import (ReferenceGraphIndex, ReferenceViewMetrics,
                             nested, reference_decompose_prediction,
                             reference_detect_exfiltration,
+                            reference_extract_features,
                             reference_features_for_graph,
                             reference_label_decorations,
                             reference_match_request_filter,
@@ -289,9 +290,11 @@ def _page(draw):
 def test_features_equal_reference_per_decoration(t, min_len):
     g = build_full_graph(t, min_len=min_len)
     rows = features_for_graph(g)
-    assert rows == reference_features_for_graph(g)
+    # the reference's dicts are in FEATURE_NAMES order
+    assert rows == [(node_id, tuple(fv.values()))
+                    for node_id, fv in reference_features_for_graph(g)]
     # a numpy scalar equals its float but prints differently in the matrix
-    assert all(type(v) is float for _, fv in rows for v in fv.values())
+    assert all(type(v) is float for _, fv in rows for v in fv)
 
 
 @settings(max_examples=100, deadline=None)
@@ -307,7 +310,9 @@ def test_decoration_ancestry_is_its_request_and_the_request_ancestry(t):
         assert (ref.ancestors(dec.id, ref.ancestry_rev)
                 == {request} | ref.ancestors(request, ref.ancestry_rev)
                 == {request} | _ancestors(request, index.ancestry_parents))
-        assert tuple(_request_block(index, request)) == REQUEST_LEVEL_FEATURES
+        want = reference_extract_features(g, dec.id, ref)
+        assert (dict(zip(REQUEST_LEVEL_FEATURES, _request_block(index, request)))
+                == {name: want[name] for name in REQUEST_LEVEL_FEATURES})
 
 
 def _cases(t):

@@ -111,7 +111,7 @@ def test_validate_reports_duplicate_seq_without_raising():
     t = parse_trace(_lines(_event(1, "script_load", script_id="a")))
     twin = t.events[0]
     from dataclasses import replace
-    t = replace(t, events=(twin, replace(twin, kind="eval_script")))
+    t = replace(t, events=(twin, twin._replace(kind="eval_script")))
     codes = {f.code for f in validate_trace(t)}
     assert "duplicate-seq" in codes
 
