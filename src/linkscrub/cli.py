@@ -15,7 +15,7 @@ import numpy as np
 
 from . import evasion, features, filters, forest, labels, stats, synthetic
 from .errors import InputError, InvariantError, LinkscrubError
-from .graph import DEFAULT_MIN_VALUE_LEN, build_full_graph, build_graph
+from .graph import DEFAULT_MIN_VALUE_LEN, build_full_graph
 from .trace import load_trace, validate_trace, write_trace
 from .urls import DecorationId, sanitize as sanitize_url
 
@@ -92,17 +92,10 @@ def parse(traces):
 @main.command()
 @click.argument("trace", type=click.Path(exists=True))
 @click.option("-o", "--output", type=click.File("w"), default="-")
-@click.option("--no-flows", is_flag=True,
-              help="Skip exfiltration/infiltration detection.")
 @click.pass_obj
-def graph(obj, trace, output, no_flows):
+def graph(obj, trace, output):
     """Build the page graph of one trace and dump its edge list."""
-    t = load_trace(trace)
-    if no_flows:
-        from .graph import attach_decoration_nodes
-        g = attach_decoration_nodes(build_graph(t))
-    else:
-        g = build_full_graph(t, min_len=obj["min_value_len"])
+    g = build_full_graph(load_trace(trace), min_len=obj["min_value_len"])
     output.write(g.edge_list_dump())
     for w in g.warnings:
         click.echo(f"warning: {w}", err=True)
@@ -162,16 +155,15 @@ def _join_matrix_labels(matrix_fh, labels_fh):
     """(meta, X, y, kinds) for rows whose identity carries a known label."""
     meta, X = features.read_feature_matrix(matrix_fh)
     by_id = {item.id: item.label for item in labels.read_labels(labels_fh)}
+    classes = {labels.ATS: forest.ATS_CLASS,
+               labels.NON_ATS: forest.NON_ATS_CLASS}
     keep, y, kinds = [], [], []
     for i, row in enumerate(meta):
-        lab = by_id.get(DecorationId(row["site"], row["fqdn"], row["key"]))
-        if lab == labels.ATS:
+        cls = classes.get(
+            by_id.get(DecorationId(row["site"], row["fqdn"], row["key"])))
+        if cls is not None:
             keep.append(i)
-            y.append(forest.ATS_CLASS)
-            kinds.append(row["kind"])
-        elif lab == labels.NON_ATS:
-            keep.append(i)
-            y.append(forest.NON_ATS_CLASS)
+            y.append(cls)
             kinds.append(row["kind"])
     if not keep:
         raise InputError("no labeled rows in the matrix")

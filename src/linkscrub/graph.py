@@ -65,7 +65,7 @@ class PageGraph:
         self.nodes: dict[str, Node] = {}
         self.edges: list[Edge] = []
         self.warnings: list[str] = []
-        # ordered storage writes: (seq, node_id, value, actor_node_id)
+        # script storage writes in event order: (seq, node_id, value)
         self.storage_writes: list[tuple] = []
 
     # -- construction helpers -------------------------------------------------
@@ -176,9 +176,8 @@ def build_graph(t: Trace) -> PageGraph:
                 store=p["store"], key=p["key"])
             value = p.get("value", "")
             node.attrs.setdefault("writes", []).append((ev.seq, value))
-            actor = _actor_node(g, ev.actor)
-            g.add_edge(actor, node.id, INTERACTION, "set")
-            g.storage_writes.append((ev.seq, node.id, value, actor))
+            g.add_edge(_actor_node(g, ev.actor), node.id, INTERACTION, "set")
+            g.storage_writes.append((ev.seq, node.id, value))
         elif ev.kind == "storage_get":
             node = g.ensure_node(
                 _storage_node_id(p["store"], p["key"]), STORAGE,
@@ -245,64 +244,54 @@ def attach_decoration_nodes(g: PageGraph) -> PageGraph:
     return g
 
 
-def encode_candidates(value: str) -> set[tuple[str, str]]:
-    """The five monitored forms of ``value``: identity, padded Base64, and
-    lowercase hex MD5 / SHA-1 / SHA-256 digests."""
+def encode_candidates(value: str) -> dict[str, str]:
+    """The five monitored forms of ``value``, by encoding in ``ENCODINGS``
+    order: identity, padded Base64, and lowercase hex MD5 / SHA-1 / SHA-256
+    digests."""
     if not value:
         raise ValueError("encode_candidates requires a non-empty value")
     data = value.encode("utf-8")
     return {
-        ("plain", value),
-        ("base64", base64.b64encode(data).decode("ascii")),
-        ("md5", hashlib.md5(data).hexdigest()),
-        ("sha1", hashlib.sha1(data).hexdigest()),
-        ("sha256", hashlib.sha256(data).hexdigest()),
+        "plain": value,
+        "base64": base64.b64encode(data).decode("ascii"),
+        "md5": hashlib.md5(data).hexdigest(),
+        "sha1": hashlib.sha1(data).hexdigest(),
+        "sha256": hashlib.sha256(data).hexdigest(),
     }
 
 
 class EncodedValues(dict):
-    """value -> {encoding: form} of ``encode_candidates``, each distinct value
-    encoded once, on its first lookup."""
+    """value -> ``encode_candidates(value)``, each distinct value encoded
+    once, on its first lookup."""
 
     def __missing__(self, value: str) -> dict[str, str]:
-        forms = self[value] = dict(encode_candidates(value))
+        forms = self[value] = encode_candidates(value)
         return forms
 
 
-def _match_encoding(forms: dict[str, str], haystacks: list[str]):
-    """First matching (encoding, span) in priority order, else None.
-
-    Hex digests match case-insensitively; plain and base64 are case-sensitive.
-    """
+def _match(forms: dict[str, str], strings: list[str], inside: bool = False):
+    """First (encoding, span) in ``ENCODINGS`` priority order, else None:
+    a form found in one of ``strings`` or, with ``inside``, a non-empty
+    string found in a form (the reverse direction). Hex digests match
+    case-insensitively; plain and base64 are case-sensitive."""
+    lowered = None
     for encoding in ENCODINGS:
-        needle = forms[encoding]
-        for hay in haystacks:
-            if encoding in HEX_ENCODINGS:
-                pos = hay.lower().find(needle)
+        form, hays = forms[encoding], strings
+        if encoding in HEX_ENCODINGS:
+            if lowered is None:
+                lowered = [s.lower() for s in strings]
+            hays = lowered
+        for s in hays:
+            if inside:
+                pos = form.find(s) if s else -1
             else:
-                pos = hay.find(needle)
+                pos = s.find(form)
             if pos != -1:
-                return encoding, (pos, pos + len(needle))
+                return encoding, (pos, pos + len(s if inside else form))
     return None
 
 
-def _match_containment(forms: dict[str, str], fragments: list[str]):
-    """Reverse direction: a decoration value occurring inside an encoded form
-    of the storage value (how split identifier chunks are still caught)."""
-    for encoding in ENCODINGS:
-        form = forms[encoding]
-        lowered = form.lower() if encoding in HEX_ENCODINGS else form
-        for frag in fragments:
-            if not frag:
-                continue
-            needle = frag.lower() if encoding in HEX_ENCODINGS else frag
-            pos = lowered.find(needle)
-            if pos != -1:
-                return encoding, (pos, pos + len(needle))
-    return None
-
-
-# k of the k-grams that find exfiltration candidates
+# k of the k-grams that find flow candidates
 KGRAM = DEFAULT_MIN_VALUE_LEN
 
 
@@ -357,11 +346,11 @@ def detect_exfiltration(g: PageGraph,
     shorter than k cannot be indexed, so a value or decoration with one
     (possible only when ``min_len`` < k) is paired with every decoration or
     value, as a scan would. Each distinct value is encoded once, and
-    ``_match_encoding`` / ``_match_containment`` confirm each candidate, so
-    the encoding priority and the evidence span are those of a full scan;
-    edges are added in the scan's order (request, storage node, value,
-    decoration). The cost grows with the haystacks' and forms' lengths and
-    the candidates, not with stored values x decorations.
+    ``_match`` confirms each candidate in both directions, so the encoding
+    priority and the evidence span are those of a full scan; edges are
+    added in the scan's order (request, storage node, value, decoration).
+    The cost grows with the haystacks' and forms' lengths and the
+    candidates, not with stored values x decorations.
     """
     requests = {req.id: (i, req.attrs.get("seq", 0))
                 for i, req in enumerate(g.request_nodes())}
@@ -400,9 +389,9 @@ def detect_exfiltration(g: PageGraph,
     for vi, di in candidates:
         value, dec = values[vi], decorations[di]
         forms = encoded[value]
-        hit = _match_encoding(forms, haystacks[di])
+        hit = _match(forms, haystacks[di])
         if hit is None and len(dec.attrs["value"]) >= min_len:
-            hit = _match_containment(forms, haystacks[di])
+            hit = _match(forms, haystacks[di], inside=True)
         if hit is None:
             continue
         ri, req_seq = requests[dec.attrs["request"]]
@@ -426,44 +415,51 @@ def detect_infiltration(g: PageGraph) -> PageGraph:
     Header-set storage entries always infiltrate. A script write is attributed
     to a response iff the stored value (or an encoded form) appears in that
     response's payload and the write happens after the response in seq order.
+
+    Candidates come from ``_prefix_pairs`` over the written values' forms
+    and the payloads, as is and lowercased, and ``_match`` confirms each, so
+    the cost grows with payload length and candidates, not with responses x
+    writes. Edges follow the response order, header entries first, then
+    writes in event order; the first per (response, storage node) is kept.
     """
     responses = [n for n in g.nodes_of_kind(NETWORK)
                  if n.attrs.get("direction") == "response"]
+    carriers = [resp for resp in responses if resp.attrs.get("payload")]
+    payloads = [resp.attrs["payload"] for resp in carriers]
+    writes: dict[str, list[int]] = {}  # value -> its storage_writes indexes
+    for wi, (_seq, _storage_id, value) in enumerate(g.storage_writes):
+        if value:
+            writes.setdefault(value, []).append(wi)
+    values = list(writes) if carriers else []
     encoded = EncodedValues()
-    added = set()
-
-    def add(resp_id: str, storage_id: str, evidence) -> None:
-        if (resp_id, storage_id) in added:
-            return
-        added.add((resp_id, storage_id))
-        g.add_edge(resp_id, storage_id, INFILTRATION, evidence=evidence)
+    candidates = _prefix_pairs([list(encoded[v].values()) for v in values],
+                               [[p, p.lower()] for p in payloads])
+    hits: dict[str, list] = {}  # response id -> [(write index, evidence)]
+    for vi, ci in candidates:
+        hit = _match(encoded[values[vi]], [payloads[ci]])
+        if hit is not None:
+            resp_seq = carriers[ci].attrs.get("seq", 0)
+            hits.setdefault(carriers[ci].id, []).extend(
+                (wi, hit) for wi in writes[values[vi]]
+                if g.storage_writes[wi][0] > resp_seq)
 
     for resp in responses:
-        for entry in resp.attrs.get("set_storage", []):
-            add(resp.id, _storage_node_id(entry["store"], entry["key"]),
-                ("header", None))
-        payload = resp.attrs.get("payload", "")
-        if not payload:
-            continue
-        resp_seq = resp.attrs.get("seq", 0)
-        for seq, storage_id, value, _actor in g.storage_writes:
-            if seq <= resp_seq or not value:
-                continue
-            hit = _match_encoding(encoded[value], [payload])
-            if hit is not None:
-                add(resp.id, storage_id, hit)
-
-    # mark each request whose response infiltrates storage
-    infiltrating = {}
-    for resp_id, _storage in added:
-        infiltrating[resp_id] = infiltrating.get(resp_id, 0) + 1
-    for resp in responses:
-        count = infiltrating.get(resp.id, 0)
-        if count:
-            req_id = _request_node_id(resp.attrs["request_id"])
-            if req_id in g.nodes:
-                g.nodes[req_id].attrs["infiltrations"] = \
-                    g.nodes[req_id].attrs.get("infiltrations", 0) + count
+        flows = [(_storage_node_id(entry["store"], entry["key"]),
+                  ("header", None))
+                 for entry in resp.attrs.get("set_storage", [])]
+        flows += [(g.storage_writes[wi][1], hit)
+                  for wi, hit in sorted(hits.get(resp.id, ()))]
+        added = set()
+        for storage_id, evidence in flows:
+            if storage_id not in added:
+                added.add(storage_id)
+                g.add_edge(resp.id, storage_id, INFILTRATION,
+                           evidence=evidence)
+        # mark the request whose response infiltrates storage
+        req = g.nodes.get(_request_node_id(resp.attrs["request_id"]))
+        if added and req is not None:
+            req.attrs["infiltrations"] = \
+                req.attrs.get("infiltrations", 0) + len(added)
     return g
 
 

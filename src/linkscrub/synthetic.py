@@ -107,7 +107,7 @@ def _build_tracker(b: _SiteBuilder, cfg: SyntheticConfig, j: int) -> None:
         "length": 15000 + 100 * j})
 
     uid = b.identifier(cfg.identifier_length)
-    uid_enc = dict(encode_candidates(uid))[encoding]
+    uid_enc = encode_candidates(uid)[encoding]
     b.emit("storage_set", script,
            {"store": "cookie", "key": f"_uid{j}", "value": uid})
     b.emit("storage_get", script,
@@ -149,7 +149,7 @@ def _build_tracker(b: _SiteBuilder, cfg: SyntheticConfig, j: int) -> None:
            {"store": "cookie", "key": f"_sid{j}", "value": sid})
     partner = f"x.trk{(j + 1) % max(1, cfg.trackers_per_site)}.example"
     rid = b.request(script, partner, [], "partner",
-                    [("psid", dict(encode_candidates(sid))[encoding])])
+                    [("psid", encode_candidates(sid)[encoding])])
     b.label(partner, "psid", ATS)
     b.response(rid)
 

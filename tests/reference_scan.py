@@ -1,9 +1,10 @@
-"""Test-only references: the quadratic exfiltration scan, the per-node BFS
-structural metrics, the per-decoration feature extraction, the
-per-decoration labeling with its scan of every request rule, the recursive
-tree grower with its per-feature float split search, row-by-row scoring and
-the explanation that adds into a numpy array, and the sanitizer's scan of
-every rule for every decoration that ``graph.detect_exfiltration``,
+"""Test-only references: the quadratic exfiltration and infiltration scans,
+the per-node BFS structural metrics, the per-decoration feature extraction,
+the per-decoration labeling with its scan of every request rule, the
+recursive tree grower with its per-feature float split search, row-by-row
+scoring and the explanation that adds into a numpy array, and the
+sanitizer's scan of every rule for every decoration that
+``graph.detect_exfiltration``, ``graph.detect_infiltration``,
 ``features.ViewMetrics``, ``features.features_for_graph``,
 ``labels.label_decorations`` with its ``RequestRuleIndex``, the array-backed
 and rank-coded ``forest`` and ``urls.RuleIndex`` replaced. The replacements
@@ -23,8 +24,9 @@ from linkscrub.features import (AD_KEYWORDS, FEATURE_NAMES, FP_KEYWORDS,
                                 shannon_entropy)
 from linkscrub.forest import ForestConfig
 from linkscrub.graph import (DECORATION, ENCODINGS, EXFILTRATION,
-                             HEX_ENCODINGS, HTML, INTERACTION, SCRIPT, STORAGE,
-                             encode_candidates)
+                             HEX_ENCODINGS, HTML, INFILTRATION, INTERACTION,
+                             NETWORK, SCRIPT, STORAGE, _request_node_id,
+                             _storage_node_id, encode_candidates)
 from linkscrub.labels import (ATS, ATS_PURPOSES, NON_ATS, UNKNOWN,
                               LabeledDecoration, cookie_purpose)
 from linkscrub.urls import (PATH_KIND, QUERY_KIND, _encode_token, decompose,
@@ -106,6 +108,46 @@ def reference_detect_exfiltration(g, min_len):
             seen.add(pair)
         deduped.append(e)
     g.edges = deduped
+    return g
+
+
+def reference_detect_infiltration(g):
+    """Every response payload tested against every later script write."""
+    responses = [n for n in g.nodes_of_kind(NETWORK)
+                 if n.attrs.get("direction") == "response"]
+    added = set()
+
+    def add(resp_id, storage_id, evidence):
+        if (resp_id, storage_id) in added:
+            return
+        added.add((resp_id, storage_id))
+        g.add_edge(resp_id, storage_id, INFILTRATION, evidence=evidence)
+
+    for resp in responses:
+        for entry in resp.attrs.get("set_storage", []):
+            add(resp.id, _storage_node_id(entry["store"], entry["key"]),
+                ("header", None))
+        payload = resp.attrs.get("payload", "")
+        if not payload:
+            continue
+        resp_seq = resp.attrs.get("seq", 0)
+        for seq, storage_id, value in g.storage_writes:
+            if seq <= resp_seq or not value:
+                continue
+            hit = _match_encoding(encode_candidates(value), [payload])
+            if hit is not None:
+                add(resp.id, storage_id, hit)
+
+    infiltrating = {}
+    for resp_id, _storage in added:
+        infiltrating[resp_id] = infiltrating.get(resp_id, 0) + 1
+    for resp in responses:
+        count = infiltrating.get(resp.id, 0)
+        if count:
+            req_id = _request_node_id(resp.attrs["request_id"])
+            if req_id in g.nodes:
+                g.nodes[req_id].attrs["infiltrations"] = \
+                    g.nodes[req_id].attrs.get("infiltrations", 0) + count
     return g
 
 

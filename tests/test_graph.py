@@ -4,10 +4,12 @@ import random
 
 import pytest
 
-from linkscrub.graph import (EXFILTRATION, INFILTRATION, INTERACTION,
-                             build_full_graph, build_graph,
-                             attach_decoration_nodes, detect_infiltration,
-                             encode_candidates)
+from linkscrub import graph
+from linkscrub.graph import (ENCODINGS, EXFILTRATION, INFILTRATION,
+                             INTERACTION, build_full_graph, build_graph,
+                             attach_decoration_nodes, detect_exfiltration,
+                             detect_infiltration, encode_candidates)
+from linkscrub.synthetic import SyntheticConfig, generate_synthetic
 
 from conftest import TraceBuilder
 from oracle_exfil import oracle_exfil_pairs
@@ -74,7 +76,8 @@ def test_unparseable_url_warns_and_yields_no_decorations(tb):
 
 
 def test_encode_candidates_forms():
-    forms = dict(encode_candidates("abcdefgh"))
+    forms = encode_candidates("abcdefgh")
+    assert list(forms) == list(ENCODINGS)
     assert forms["plain"] == "abcdefgh"
     assert forms["base64"] == base64.b64encode(b"abcdefgh").decode()
     assert forms["sha256"] == hashlib.sha256(b"abcdefgh").hexdigest()
@@ -213,6 +216,34 @@ def test_edge_list_dump_deterministic(tb):
     b = build_full_graph(t).edge_list_dump()
     assert a == b
     assert "exfiltration" in a
+
+
+def test_flow_matcher_calls_per_decoration_grow_less_than_twice(
+        monkeypatch):
+    """Both flow directions confirm candidates from one k-gram index, so
+    from a 32- to a 128-tracker page the matcher calls per decoration stay
+    about flat; a test of every pair grows them with the page."""
+    calls = []
+    match = graph._match
+
+    def spy(*args, **kw):
+        calls.append(args)
+        return match(*args, **kw)
+
+    monkeypatch.setattr(graph, "_match", spy)
+    per_decoration = {}
+    for n in (32, 128):
+        (t,), _labels = generate_synthetic(
+            SyntheticConfig(sites=1, trackers_per_site=n, seed=3))
+        g = attach_decoration_nodes(build_graph(t))
+        decorations = len(g.decoration_nodes())
+        for detect in (detect_exfiltration, detect_infiltration):
+            calls.clear()
+            detect(g)
+            per_decoration[detect.__name__, n] = len(calls) / decorations
+    for name in ("detect_exfiltration", "detect_infiltration"):
+        assert (per_decoration[name, 128] < 2 * per_decoration[name, 32]
+                ), per_decoration
 
 
 # -- randomized comparison against the brute-force oracle ---------------------

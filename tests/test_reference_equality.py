@@ -1,4 +1,5 @@
-"""The indexed exfiltration search, the batched BFS metrics, the features
+"""The indexed exfiltration and infiltration searches, the batched BFS
+metrics, the features
 computed once per request, the labels matched once per request and
 identity through the request-rule index, the array-backed and rank-coded
 forest with its list-based explanations and the sanitizer's rule index give
@@ -26,16 +27,21 @@ from linkscrub.features import (_BFS_BLOCK, REQUEST_LEVEL_FEATURES,
                                 ViewMetrics, _ancestors, _GraphIndex,
                                 _request_block, features_for_graph)
 from linkscrub.graph import (DECORATION, ENCODINGS, EXFILTRATION,
-                             INFILTRATION, Edge, Node, attach_decoration_nodes,
-                             build_full_graph, build_graph,
-                             detect_exfiltration, encode_candidates)
+                             HEX_ENCODINGS, INFILTRATION, KGRAM, NETWORK,
+                             Edge, Node, _storage_node_id,
+                             attach_decoration_nodes, build_full_graph,
+                             build_graph,
+                             detect_exfiltration, detect_infiltration,
+                             encode_candidates)
 from linkscrub.urls import (RuleIndex, decompose, decoded_decorations,
                             sanitize)
 
 from conftest import TraceBuilder
 from reference_scan import (ReferenceGraphIndex, ReferenceViewMetrics,
-                            nested, reference_decompose_prediction,
+                            _match_encoding, nested,
+                            reference_decompose_prediction,
                             reference_detect_exfiltration,
+                            reference_detect_infiltration,
                             reference_extract_features,
                             reference_features_for_graph,
                             reference_label_decorations,
@@ -54,7 +60,7 @@ def _piece(draw, stored):
     """A decoration value: an encoded form of a stored value, whole, cut to a
     chunk or wrapped, maybe uppercased, or unrelated text."""
     value = draw(st.sampled_from(stored))
-    form = dict(encode_candidates(value))[draw(st.sampled_from(ENCODINGS))]
+    form = encode_candidates(value)[draw(st.sampled_from(ENCODINGS))]
     if draw(st.booleans()):
         form = form.upper()
     how = draw(st.sampled_from(["whole", "chunk", "wrap", "other"]))
@@ -111,7 +117,7 @@ def test_exfiltration_reference_cases_find_edges_both_ways():
     encoding, an uppercase digest after a character that lowercases to two,
     a chunk caught in reverse, and a value held by two storage nodes."""
     value = "abcXYZ0189"
-    forms = dict(encode_candidates(value))
+    forms = encode_candidates(value)
     t = (TraceBuilder(site="site.example").script("s1")
          .set("s1", "cookie", "k1", value)
          .get("s1", "localStorage", "k2", value)
@@ -131,6 +137,94 @@ def test_exfiltration_reference_cases_find_edges_both_ways():
                             ("sha256", (10, 30)), ("md5", (0, 32)),
                             ("plain", (0, 10))}
         assert len([e for e in got if e.kind == EXFILTRATION]) == 10
+
+
+_STORAGE = st.tuples(st.sampled_from(["cookie", "localStorage"]),
+                     st.sampled_from(["k1", "k2", "k3"]))
+
+
+@st.composite
+def _flow_traces(draw):
+    """Script writes of a few values, some of them empty, interleaved with
+    responses whose payloads carry pieces of those values' forms and which
+    may set storage by header; a request may be answered twice and a
+    response may answer no request."""
+    tb = TraceBuilder(site="site.example").script("s1")
+    stored = draw(st.lists(_values, min_size=1, max_size=4))
+    requests = []
+    for i in range(draw(st.integers(1, 14))):
+        if draw(st.booleans()):
+            store, key = draw(_STORAGE)
+            tb.set("s1", store, key,
+                   draw(st.sampled_from(stored) | st.just("")))
+            continue
+        request_id = draw(st.sampled_from([f"r{i}", "orphan"] + requests))
+        if request_id == f"r{i}":
+            tb.request("s1", request_id, f"https://t.example/{i}")
+            requests.append(request_id)
+        pieces = draw(st.lists(_piece(stored), max_size=3))
+        header = [{"store": store, "key": key, "value": draw(_values)}
+                  for store, key in draw(st.lists(_STORAGE, max_size=2))]
+        tb.response(request_id, payload_text="&".join(pieces),
+                    set_storage=header)
+    return tb.build()
+
+
+@settings(max_examples=400, deadline=None)
+@given(_flow_traces())
+def test_infiltration_equals_reference_scan(t):
+    g = build_graph(t)
+    want = reference_detect_infiltration(copy.deepcopy(g))
+    assert detect_infiltration(g).edges == want.edges
+    assert ([n.attrs.get("infiltrations") for n in g.request_nodes()]
+            == [n.attrs.get("infiltrations") for n in want.request_nodes()])
+
+
+def _flow_cases(t):
+    """Which of the cases the flow strategy must reach ``t`` holds."""
+    g = build_graph(t)
+    cases = set()
+    for resp in g.nodes_of_kind(NETWORK):
+        payload = resp.attrs.get("payload", "")
+        if resp.attrs["direction"] != "response" or not payload:
+            continue
+        headers = {_storage_node_id(entry["store"], entry["key"])
+                   for entry in resp.attrs["set_storage"]}
+        held, before, after = {}, False, False
+        for seq, storage_id, value in g.storage_writes:
+            if not value:
+                continue
+            forms = encode_candidates(value)
+            hit = _match_encoding(forms, [payload])
+            if hit is None:
+                continue
+            if seq < resp.attrs["seq"]:
+                before = True
+                continue
+            after = True
+            held.setdefault(value, set()).add(storage_id)
+            if len(value) < KGRAM:
+                cases.add("value shorter than KGRAM")
+            if hit[0] in HEX_ENCODINGS and forms[hit[0]] not in payload:
+                cases.add("upper-case hex in a payload")
+            if storage_id in headers:
+                cases.add("header entry and script write on one pair")
+        if before and after:
+            cases.add("writes before and after the response")
+        if any(len(nodes) > 1 for nodes in held.values()):
+            cases.add("one value in two storage nodes")
+    return cases
+
+
+@pytest.mark.parametrize("case", [
+    "value shorter than KGRAM", "upper-case hex in a payload",
+    "writes before and after the response",
+    "header entry and script write on one pair",
+    "one value in two storage nodes"])
+def test_flow_strategy_reaches(case):
+    find(_flow_traces(), lambda t: case in _flow_cases(t),
+         settings=settings(max_examples=2000, deadline=None, database=None,
+                           phases=[Phase.generate]))
 
 
 @st.composite
