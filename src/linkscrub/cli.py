@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 input error, 2 invariant violation.
 from __future__ import annotations
 
 import csv
+import os
 import sys
 
 import click
@@ -16,7 +17,7 @@ import numpy as np
 from . import evasion, features, filters, forest, labels, stats, synthetic
 from .errors import InputError, InvariantError, LinkscrubError
 from .graph import DEFAULT_MIN_VALUE_LEN, build_full_graph
-from .trace import load_trace, validate_trace, write_trace
+from .trace import load_trace, write_trace
 from .urls import DecorationId, sanitize as sanitize_url
 
 
@@ -47,19 +48,9 @@ def run() -> None:
     except InvariantError as exc:
         click.echo(f"invariant violation: {exc}", err=True)
         sys.exit(2)
-    except (InputError, LinkscrubError, OSError, UnicodeDecodeError) as exc:
+    except (LinkscrubError, OSError, UnicodeDecodeError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
-
-
-def _load_traces(paths):
-    out = []
-    for path in paths:
-        try:
-            out.append(load_trace(path))
-        except FileNotFoundError as exc:
-            raise InputError(str(exc)) from exc
-    return out
 
 
 def _graphs(traces, min_len):
@@ -75,18 +66,9 @@ def _graphs(traces, min_len):
 @click.argument("traces", nargs=-1, required=True,
                 type=click.Path(exists=True))
 def parse(traces):
-    """Parse and validate trace files; report findings."""
-    total = 0
+    """Parse and validate trace files; report their event counts."""
     for path in traces:
-        t = load_trace(path)
-        findings = validate_trace(t)
-        total += len(findings)
-        click.echo(f"{path}: {len(t.events)} events, "
-                   f"{len(findings)} finding(s)")
-        for f in findings:
-            click.echo(f"  [{f.code}] {f.message} (seq {list(f.seqs)})")
-    if total:
-        raise InputError(f"{total} validation finding(s)")
+        click.echo(f"{path}: {len(load_trace(path).events)} events")
 
 
 @main.command()
@@ -95,10 +77,8 @@ def parse(traces):
 @click.pass_obj
 def graph(obj, trace, output):
     """Build the page graph of one trace and dump its edge list."""
-    g = build_full_graph(load_trace(trace), min_len=obj["min_value_len"])
+    [g] = _graphs([load_trace(trace)], obj["min_value_len"])
     output.write(g.edge_list_dump())
-    for w in g.warnings:
-        click.echo(f"warning: {w}", err=True)
 
 
 def _matrix_rows(traces, min_len):
@@ -124,7 +104,7 @@ def _matrix_rows(traces, min_len):
 @click.pass_obj
 def features_cmd(obj, traces, output):
     """Extract the per-decoration feature matrix from traces."""
-    rows = _matrix_rows(_load_traces(traces), obj["min_value_len"])
+    rows = _matrix_rows([load_trace(p) for p in traces], obj["min_value_len"])
     features.write_feature_matrix(rows, output)
 
 
@@ -138,7 +118,7 @@ def features_cmd(obj, traces, output):
 @click.pass_obj
 def label(obj, traces, request_rules, cookie_purposes, curated, output):
     """Derive ground-truth labels for every decoration identity."""
-    graphs = _graphs(_load_traces(traces), obj["min_value_len"])
+    graphs = _graphs([load_trace(p) for p in traces], obj["min_value_len"])
     rules = labels.parse_request_rules(request_rules) if request_rules else ()
     purposes = (labels.parse_cookie_purpose_db(cookie_purposes)
                 if cookie_purposes else ())
@@ -304,19 +284,14 @@ def sanitize(obj, urls, list_fh, site, mode):
 @click.option("--out", type=click.Path(), required=True)
 @click.option("--sites", default=10, show_default=True, type=int)
 @click.option("--trackers-per-site", default=2, show_default=True, type=int)
-@click.option("--functional-params", default=3, show_default=True, type=int)
-@click.option("--identifier-length", default=16, show_default=True, type=int)
 @click.option("--encodings", default="plain", show_default=True,
               help="Comma-separated: plain,base64,md5,sha1,sha256.")
 @click.pass_obj
-def generate(obj, out, sites, trackers_per_site, functional_params,
-             identifier_length, encodings):
+def generate(obj, out, sites, trackers_per_site, encodings):
     """Generate a synthetic trace corpus with planted labels."""
     try:
         cfg = synthetic.SyntheticConfig(
             sites=sites, trackers_per_site=trackers_per_site,
-            functional_params=functional_params,
-            identifier_length=identifier_length,
             encodings=tuple(e.strip() for e in encodings.split(",")),
             seed=obj["seed"])
     except ValueError as exc:
@@ -335,9 +310,8 @@ def generate(obj, out, sites, trackers_per_site, functional_params,
 @click.pass_obj
 def evade(obj, technique, traces, out):
     """Apply an evasion transform to trace files."""
-    import os
     os.makedirs(out, exist_ok=True)
-    loaded = _load_traces(traces)
+    loaded = [load_trace(p) for p in traces]
     if technique == "rename":
         transformed = evasion.evade_rename(loaded, seed=obj["seed"])
     elif technique == "split":
@@ -359,7 +333,7 @@ def evade(obj, technique, traces, out):
 @click.pass_obj
 def stats_cmd(obj, traces, labels_fh, top):
     """Prevalence report over traces, optionally joined with labels."""
-    graphs = _graphs(_load_traces(traces), obj["min_value_len"])
+    graphs = _graphs([load_trace(p) for p in traces], obj["min_value_len"])
     label_map = {}
     if labels_fh is not None:
         label_map = {item.id: item.label

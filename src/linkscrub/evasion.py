@@ -25,16 +25,21 @@ SPLIT_CHUNK = 8
 
 
 def _map_urls(trace: Trace,
-              fn: Callable[[str, TraceEvent], str]) -> Trace:
+              fn: Callable[[DecoratedUrl, str, TraceEvent], str]) -> Trace:
+    """Rewrite each event URL ``url`` that decomposes into ``d`` to
+    ``fn(d, url, ev)``; an unparseable URL stays as it is."""
     events = []
     for ev in trace.events:
         field = _URL_FIELDS.get(ev.kind)
         if field and field in ev.payload:
-            payload = dict(ev.payload)
-            payload[field] = fn(payload[field], ev)
-            events.append(ev._replace(payload=payload))
-        else:
-            events.append(ev)
+            url = ev.payload[field]
+            try:
+                d = decompose(url)
+            except UrlParseError:
+                pass
+            else:
+                ev = ev._replace(payload={**ev.payload, field: fn(d, url, ev)})
+        events.append(ev)
     return replace(trace, events=tuple(events))
 
 
@@ -42,12 +47,8 @@ def evade_rename(traces, seed: int = 0) -> list[Trace]:
     """Replace query/fragment keys with random tokens and permute the order
     of path directory levels; decoration values are untouched."""
 
-    def transform(url: str, ev: TraceEvent) -> str:
+    def transform(d: DecoratedUrl, url: str, ev: TraceEvent) -> str:
         rng = random.Random(f"rename|{seed}|{ev.site}|{ev.seq}|{url}")
-        try:
-            d = decompose(url)
-        except UrlParseError:
-            return url
         decs = raw_decorations(d)
         depth = len(d.path_segments)
         dirs = decs[:depth]
@@ -68,11 +69,7 @@ def evade_split(traces) -> list[Trace]:
     """Split every decoration value longer than 8 characters into consecutive
     8-character chunks carried by suffixed sibling decorations."""
 
-    def transform(url: str, ev: TraceEvent) -> str:
-        try:
-            d = decompose(url)
-        except UrlParseError:
-            return url
+    def transform(d: DecoratedUrl, url: str, ev: TraceEvent) -> str:
         out = []
         for dec in raw_decorations(d):
             if len(dec.value) <= SPLIT_CHUNK:
@@ -104,11 +101,7 @@ def evade_combine(traces) -> list[Trace]:
     """Replace all decorations of each request by a single path decoration
     holding the SHA-256 of their canonical concatenation."""
 
-    def transform(url: str, ev: TraceEvent) -> str:
-        try:
-            d = decompose(url)
-        except UrlParseError:
-            return url
+    def transform(d: DecoratedUrl, url: str, ev: TraceEvent) -> str:
         digest = combine_decorations(d)
         if digest is None:
             return url

@@ -138,7 +138,7 @@ def _element_node_id(element_id: str) -> str:
 def _actor_node(g: PageGraph, actor: str) -> str:
     """Resolve an event actor to a node id, creating the node if needed."""
     if actor == "document":
-        g.ensure_node(DOCUMENT_NODE, HTML, tag="document")
+        g.ensure_node(DOCUMENT_NODE, HTML)
         return DOCUMENT_NODE
     element = _element_node_id(actor)
     if element in g.nodes:
@@ -205,7 +205,7 @@ def build_graph(t: Trace) -> PageGraph:
                         (ev.seq, entry.get("value", "")))
             g.ensure_node(
                 nid, NETWORK, direction="response",
-                request_id=p["request_id"], status=p.get("status", 0),
+                request_id=p["request_id"],
                 set_storage=p.get("set_storage", []),
                 payload=p.get("payload", ""), seq=ev.seq)
             g.add_edge(rid, nid, INTERACTION, "responds")
@@ -214,11 +214,11 @@ def build_graph(t: Trace) -> PageGraph:
             new = _request_node_id(p["request_id"])
             g.ensure_node(
                 new, NETWORK, direction="request", url=p["to_url"],
-                request_id=p["request_id"], seq=ev.seq, redirected=True)
+                request_id=p["request_id"], seq=ev.seq)
             g.add_edge(old, new, INTERACTION, "redirects")
         elif ev.kind == "element_create":
             eid = _element_node_id(p["element_id"])
-            g.ensure_node(eid, HTML, tag=p.get("tag", ""))
+            g.ensure_node(eid, HTML)
             g.add_edge(_actor_node(g, ev.actor), eid, INTERACTION, "creates")
     return g
 

@@ -30,23 +30,21 @@ _WORDS = ("en", "de", "fr", "home", "news", "dark", "light", "grid",
 ATS = "ATS"
 NON_ATS = "NonATS"
 
+REQUESTS_PER_TRACKER = 3
+FUNCTIONAL_REQUESTS = 6
+FUNCTIONAL_PARAMS = 3
+# at least 8, so that identifiers survive the min-length pre-processing
+IDENTIFIER_LENGTH = 16
+
 
 @dataclass(frozen=True)
 class SyntheticConfig:
     sites: int = 10
     trackers_per_site: int = 2
-    requests_per_tracker: int = 3
-    functional_requests: int = 6
-    functional_params: int = 3
-    identifier_length: int = 16
     encodings: tuple[str, ...] = ("plain",)
     seed: int = 0
 
     def __post_init__(self):
-        if self.identifier_length < 8:
-            raise ValueError(
-                "identifier_length must be >= 8 so identifiers survive the "
-                "min-length pre-processing")
         for enc in self.encodings:
             if enc not in ENCODINGS:
                 raise ValueError(f"unknown encoding {enc!r}")
@@ -106,14 +104,14 @@ def _build_tracker(b: _SiteBuilder, cfg: SyntheticConfig, j: int) -> None:
         "url": f"https://cdn.{tracker}/sync/pixel.js",
         "length": 15000 + 100 * j})
 
-    uid = b.identifier(cfg.identifier_length)
+    uid = b.identifier(IDENTIFIER_LENGTH)
     uid_enc = encode_candidates(uid)[encoding]
     b.emit("storage_set", script,
            {"store": "cookie", "key": f"_uid{j}", "value": uid})
     b.emit("storage_get", script,
            {"store": "cookie", "key": f"_uid{j}", "value": uid})
 
-    for r in range(cfg.requests_per_tracker):
+    for r in range(REQUESTS_PER_TRACKER):
         variant = r % 3
         if variant == 0:
             rid = b.request(script, host, [uid_enc, "sync"], "pixel.gif",
@@ -140,7 +138,7 @@ def _build_tracker(b: _SiteBuilder, cfg: SyntheticConfig, j: int) -> None:
 
     # infiltration: the first response hands back a server identifier, the
     # script stores it and passes it on to a partner tracker
-    sid = b.identifier(cfg.identifier_length)
+    sid = b.identifier(IDENTIFIER_LENGTH)
     rid = b.request(script, host, [], "id",
                     [("uid", uid_enc)])
     b.label(host, "uid", ATS)
@@ -164,8 +162,7 @@ def _build_tracker(b: _SiteBuilder, cfg: SyntheticConfig, j: int) -> None:
     b.label(to_host, "uid", ATS)
 
 
-def _build_functional(b: _SiteBuilder, cfg: SyntheticConfig) -> None:
-    rng = b.rng
+def _build_functional(b: _SiteBuilder) -> None:
     site = b.site
     script = "app"
     b.emit("script_load", "document", {
@@ -177,11 +174,11 @@ def _build_functional(b: _SiteBuilder, cfg: SyntheticConfig) -> None:
            {"store": "localStorage", "key": "theme", "value": "dark"})
 
     hosts = (f"cdn.{site}", f"www.{site}", "static.cdnhost.example")
-    for r in range(cfg.functional_requests):
+    for r in range(FUNCTIONAL_REQUESTS):
         host = hosts[r % len(hosts)]
         dirs = [b.word() for _ in range(1 + r % 2)]
         params = [(k, b.word()) for k in
-                  ("page", "lang", "w", "h", "tab", "sz")[:cfg.functional_params]]
+                  ("page", "lang", "w", "h", "tab", "sz")[:FUNCTIONAL_PARAMS]]
         rid = b.request(script, host, dirs, "item.css", params)
         for i in range(len(dirs)):
             b.label(host, f"path|{i}", NON_ATS)
@@ -213,7 +210,7 @@ def generate_synthetic(cfg: SyntheticConfig
         b = _SiteBuilder(site, page_url, rng)
         for j in range(cfg.trackers_per_site):
             _build_tracker(b, cfg, j)
-        _build_functional(b, cfg)
+        _build_functional(b)
         traces.append(Trace(site=site, page_url=page_url,
                             events=tuple(b.events)))
         labels.update(b.labels)

@@ -1,4 +1,4 @@
-"""Crawl-trace event format: parsing, validation, serialization.
+"""Crawl-trace event format: parsing with validation, serialization.
 
 The trace file is the public contract for adapters from real crawlers:
 UTF-8, one JSON object per line, a ``{"format": 1}`` header line first, then
@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from typing import (IO, Callable, Iterable, Iterator, Mapping, NamedTuple,
-                    Optional, Union)
+                    Union)
 
 from .errors import TraceParseError
 
@@ -84,26 +84,18 @@ class Trace:
         return f"{self.site}::{self.page_url}"
 
 
-@dataclass(frozen=True)
-class Finding:
-    code: str
-    message: str
-    seqs: tuple[int, ...] = ()
-
-
 def _field(path: str, name: str) -> str:
     return f"{path}.{name}" if path else name
 
 
-def _problems(value, jtype, path: str) -> list[tuple[str, str]]:
-    """(code, message) for each way ``value``, found at ``path``, breaks
+def _problems(value, jtype, path: str) -> list[str]:
+    """A message for each way ``value``, found at ``path``, breaks
     ``jtype``: a JSON type name, a dict of an object's fields, or a
     one-element list for an array of such values."""
     if isinstance(jtype, str):
         if JSON_TYPES[jtype](value):
             return []
-        return [("bad-type", f"{path} must be a JSON {jtype}, "
-                             f"got {value!r:.40}")]
+        return [f"{path} must be a JSON {jtype}, got {value!r:.40}"]
     if isinstance(jtype, list):
         if not JSON_TYPES["array"](value):
             return _problems(value, "array", path)
@@ -115,56 +107,51 @@ def _problems(value, jtype, path: str) -> list[tuple[str, str]]:
     for name, (field_type, required) in jtype.items():
         if name not in value:
             if required:
-                problems.append(("missing-field",
-                                 f"{_field(path, name)} is missing"))
+                problems.append(f"{_field(path, name)} is missing")
         elif not (isinstance(field_type, str)  # the common case, made cheap
                   and JSON_TYPES[field_type](value[name])):
             problems += _problems(value[name], field_type, _field(path, name))
     if not problems and jtype is _STORAGE:  # storage events and entries
         if value["store"] not in STORES:
-            problems.append(("bad-store", f"{path}.store {value['store']!r} "
-                                          f"is not one of {sorted(STORES)}"))
+            problems.append(f"{path}.store {value['store']!r} "
+                            f"is not one of {sorted(STORES)}")
         if not value["key"]:
-            problems.append(("empty-storage-key", f"{path}.key is empty"))
+            problems.append(f"{path}.key is empty")
     return problems
 
 
-def check_events(events: Iterable[Mapping], site: Optional[str] = None
-                 ) -> Iterator[tuple[int, str, str]]:
-    """Yield ``(event index, code, message)`` for every broken invariant of
+def check_events(events: Iterable[Mapping]) -> Iterator[tuple[int, str]]:
+    """Yield ``(event index, message)`` for every broken invariant of
     ``events``, records as decoded from JSON, read one at a time. An event
-    whose fields break the table gets no further checks. ``site`` is the
-    trace's site; ``None`` takes the first event's."""
+    whose fields break the table gets no further checks. The trace's site is
+    the first event's."""
     known_requests: set = set()
-    last_seq = None
+    last_seq = site = None
     for i, ev in enumerate(events):
         problems = _problems(ev, ENVELOPE, "")
         if not problems:
             kind = ev["kind"]
             if kind not in PAYLOAD_FIELDS:
-                problems.append(("unknown-kind",
-                                 f"unknown event kind {kind!r}"))
+                problems.append(f"unknown event kind {kind!r}")
             else:
                 problems = _problems(ev["payload"], PAYLOAD_FIELDS[kind],
                                      "payload")
         if problems:
-            yield from ((i, code, message) for code, message in problems)
+            yield from ((i, message) for message in problems)
             continue
         seq, p = ev["seq"], ev["payload"]
         if last_seq is not None and seq <= last_seq:
-            code = "duplicate-seq" if seq == last_seq else "non-monotone-seq"
-            yield i, code, f"seq {seq} after {last_seq}"
+            yield i, f"seq {seq} after {last_seq}"
         last_seq = seq
         if site is None:
             site = ev["site"]
         elif ev["site"] != site:
-            yield i, "site-mismatch", (f"event site {ev['site']!r} differs "
-                                       f"from trace site {site!r}")
+            yield i, (f"event site {ev['site']!r} differs "
+                      f"from trace site {site!r}")
         if kind in ("response", "redirect"):
             ref = p["request_id" if kind == "response" else "from_request_id"]
             if ref not in known_requests:
-                yield i, f"dangling-{kind}", (
-                    f"{kind} references unknown request id {ref!r}")
+                yield i, f"{kind} references unknown request id {ref!r}"
         if kind in ("request", "element_request", "redirect"):
             known_requests.add(p["request_id"])
 
@@ -207,7 +194,7 @@ def parse_trace(stream: Union[IO[str], Iterable[str]]) -> Trace:
             line_nos.append(line_no)
             yield record
 
-    for index, _code, message in check_events(decoded()):
+    for index, message in check_events(decoded()):
         raise TraceParseError(message, line_nos[index])
     events = tuple(
         TraceEvent(r["seq"], r["kind"], r["page_url"], r["site"], r["actor"],
@@ -215,13 +202,6 @@ def parse_trace(stream: Union[IO[str], Iterable[str]]) -> Trace:
     if not events:
         return Trace(site="", page_url="")
     return Trace(events[0].site, events[0].page_url, events)
-
-
-def validate_trace(t: Trace) -> list[Finding]:
-    """Non-mutating invariant check; an empty report means the trace is valid."""
-    return [Finding(code, message, (t.events[i].seq,))
-            for i, code, message in check_events(
-                map(TraceEvent._asdict, t.events), t.site)]
 
 
 def dump_trace(t: Trace) -> str:

@@ -35,7 +35,9 @@ def test_parse_reports_counts(runner, corpus):
     _root, traces = corpus
     result = runner.invoke(main, ["parse", traces[0]])
     assert result.exit_code == 0, result.output
-    assert "0 finding(s)" in result.output
+    with open(traces[0], encoding="utf-8") as fh:
+        events = len(fh.readlines()) - 1  # the header is no event
+    assert result.output == f"{traces[0]}: {events} events\n"
 
 
 def test_graph_dumps_edges(runner, corpus):
@@ -190,12 +192,13 @@ def test_exit_code_zero_on_success(corpus):
     assert proc.returncode == 0
 
 
-def test_generate_rejects_short_identifier(tmp_path):
+def test_generate_rejects_unknown_encoding(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "linkscrub.cli", "generate",
-         "--out", str(tmp_path / "x"), "--identifier-length", "4"],
+         "--out", str(tmp_path / "x"), "--encodings", "plain,rot13"],
         capture_output=True, text=True)
     assert proc.returncode == 1
+    assert proc.stderr == "error: unknown encoding 'rot13'\n"
 
 
 @pytest.mark.parametrize("command", ["predict", "emit-list"])
@@ -224,7 +227,7 @@ def test_model_commands_refuse_other_feature_version(corpus, tmp_path,
     assert proc.stdout == ""
 
 
-@pytest.mark.parametrize("command", ["features", "label", "stats"])
+@pytest.mark.parametrize("command", ["graph", "features", "label", "stats"])
 def test_unparseable_request_url_is_reported(command, tb, tmp_path):
     trace = tmp_path / "t.jsonl"
     t = (tb.script("s1").request("s1", "r1", "notaurl")
@@ -322,10 +325,10 @@ MALFORMED_INPUTS = {
          "m.csv": _matrix(_ROW)},
         _PREDICT, "feature names"),
 }
-for _name, (_events, _code) in MALFORMED.items():
+for _name, (_events, _message) in MALFORMED.items():
     MALFORMED_INPUTS[f"trace with {_name}"] = (
         {"t.jsonl": "\n".join([HEADER] + [json.dumps(ev) for ev in _events])},
-        ["features", "t.jsonl"], f"line {len(_events) + 1}:")
+        ["features", "t.jsonl"], f"line {len(_events) + 1}: {_message}")
 MALFORMED_INPUTS["trace with list header"] = (
     {"t.jsonl": "[1]\n"}, ["features", "t.jsonl"], "line 1:")
 MALFORMED_INPUTS["trace not UTF-8"] = (
