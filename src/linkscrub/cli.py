@@ -21,13 +21,21 @@ from .trace import load_trace, write_trace
 from .urls import DecorationId, sanitize as sanitize_url
 
 
+def _probability(_ctx, _param, value):
+    # click.FloatRange lets NaN through; it fails both comparisons here
+    if not 0.0 <= value <= 1.0:
+        raise click.BadParameter(f"{value} is not a finite number in [0, 1]")
+    return value
+
+
 @click.group()
-@click.option("--seed", default=0, show_default=True, type=int)
+@click.option("--seed", default=0, show_default=True, type=click.IntRange(0))
 @click.option("--min-value-len", default=DEFAULT_MIN_VALUE_LEN,
-              show_default=True, type=int,
+              show_default=True, type=click.IntRange(0),
               help="Storage values shorter than this never count as "
                    "exfiltrated.")
 @click.option("--threshold", default=0.5, show_default=True, type=float,
+              callback=_probability,
               help="Classifier score at or above which a decoration is "
                    "flagged.")
 @click.pass_context
@@ -159,7 +167,8 @@ def _forest_config(obj, trees):
 @main.command()
 @click.option("--matrix", type=click.File("r"), required=True)
 @click.option("--labels", "labels_fh", type=click.File("r"), required=True)
-@click.option("--trees", default=100, show_default=True, type=int)
+@click.option("--trees", default=100, show_default=True,
+              type=click.IntRange(1))
 @click.option("-o", "--output", type=click.File("w"), required=True)
 @click.pass_obj
 def train(obj, matrix, labels_fh, trees, output):
@@ -177,8 +186,10 @@ def train(obj, matrix, labels_fh, trees, output):
 @main.command()
 @click.option("--matrix", type=click.File("r"), required=True)
 @click.option("--labels", "labels_fh", type=click.File("r"), required=True)
-@click.option("--folds", default=10, show_default=True, type=int)
-@click.option("--trees", default=100, show_default=True, type=int)
+@click.option("--folds", default=10, show_default=True,
+              type=click.IntRange(2))
+@click.option("--trees", default=100, show_default=True,
+              type=click.IntRange(1))
 @click.pass_obj
 def cv(obj, matrix, labels_fh, folds, trees):
     """Stratified k-fold cross-validation with per-kind breakdown."""
@@ -282,8 +293,9 @@ def sanitize(obj, urls, list_fh, site, mode):
 
 @main.command()
 @click.option("--out", type=click.Path(), required=True)
-@click.option("--sites", default=10, show_default=True, type=int)
-@click.option("--trackers-per-site", default=2, show_default=True, type=int)
+@click.option("--sites", default=10, show_default=True, type=click.IntRange(1))
+@click.option("--trackers-per-site", default=2, show_default=True,
+              type=click.IntRange(1))
 @click.option("--encodings", default="plain", show_default=True,
               help="Comma-separated: plain,base64,md5,sha1,sha256.")
 @click.pass_obj
@@ -329,7 +341,7 @@ def evade(obj, technique, traces, out):
 @click.argument("traces", nargs=-1, required=True,
                 type=click.Path(exists=True))
 @click.option("--labels", "labels_fh", type=click.File("r"), default=None)
-@click.option("--top", default=10, show_default=True, type=int)
+@click.option("--top", default=10, show_default=True, type=click.IntRange(0))
 @click.pass_obj
 def stats_cmd(obj, traces, labels_fh, top):
     """Prevalence report over traces, optionally joined with labels."""

@@ -50,7 +50,7 @@ def evade_rename(traces, seed: int = 0) -> list[Trace]:
     def transform(d: DecoratedUrl, url: str, ev: TraceEvent) -> str:
         rng = random.Random(f"rename|{seed}|{ev.site}|{ev.seq}|{url}")
         decs = raw_decorations(d)
-        depth = len(d.path_segments)
+        depth = len(d.raw_dir_segments)
         dirs = decs[:depth]
         rng.shuffle(dirs)
         return with_decorations(d, dirs + [

@@ -2,10 +2,9 @@
 native portable text format, and export to the adblock ``removeparam``
 dialect (query keys only; path/fragment rules go to a sidecar section).
 
-Format 1 carries an action column (``replace`` or ``strip``) that is
-checked when read but that nothing acts on: ``sanitize``'s ``mode``, the
-CLI's ``sanitize --mode``, decides how every flagged value is rewritten.
-Emitted lists always write ``replace``.
+Format 1 has a fourth column that must read ``replace`` or ``strip``; it
+is not kept. ``sanitize``'s ``mode``, the CLI's ``sanitize --mode``, decides
+how every flagged value is rewritten, and written lists say ``replace``.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ class FilterRule:
     scope: str  # site pattern or '*'
     fqdn: str  # hostname pattern ('*' and '*.suffix' allowed)
     key: str  # query/fragment key or 'path|<i>'
-    action: str = "replace"  # replace | strip
     score: float = 1.0
     model_version: str = ""
 
@@ -71,7 +69,7 @@ def write_native(rules: Iterable[FilterRule], fh: IO[str]) -> None:
     fh.write(_HEADER + "\n")
     fh.write("# scope\tfqdn\tkey\taction\tscore\tmodel\n")
     for r in rules:
-        fh.write(f"{r.scope}\t{r.fqdn}\t{r.key}\t{r.action}\t"
+        fh.write(f"{r.scope}\t{r.fqdn}\t{r.key}\treplace\t"
                  f"{r.score!r}\t{r.model_version}\n")
 
 
@@ -99,7 +97,7 @@ def parse_native(fh: IO[str]) -> RuleIndex:
         if not 0.0 <= score_f <= 1.0:
             raise RuleLoadError(
                 f"line {line_no}: score outside [0, 1]", line)
-        rules.append(FilterRule(scope, fqdn, key, action, score_f, model))
+        rules.append(FilterRule(scope, fqdn, key, score_f, model))
     return RuleIndex(rules)
 
 

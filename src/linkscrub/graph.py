@@ -232,8 +232,7 @@ def attach_decoration_nodes(g: PageGraph) -> PageGraph:
         except UrlParseError as exc:
             g.warnings.append(f"unparseable request URL {url!r}: {exc}")
             continue
-        for dec, raw in zip(urls.name_decorations(d, g.site),
-                            urls.raw_decorations(d)):
+        for dec, raw in urls.name_decorations(d, g.site):
             dec_id = f"decoration:{req.attrs['request_id']}:{dec.kind}:{dec.position}"
             g.ensure_node(
                 dec_id, DECORATION,

@@ -1,10 +1,11 @@
 """URL decomposition into named link decorations, byte-exact reassembly,
 and rule-driven sanitization.
 
-A decorated URL is modeled both at the value level (percent-decoded once) and
-at the wire level (the original octets of each component), so that reassembly
-of an unmodified decomposition reproduces the input byte for byte and
-sanitization touches only the bytes of the decorations it rewrites.
+A decorated URL is held only in its wire form, the original octets of each
+component, so that reassembly of an unmodified decomposition reproduces the
+input byte for byte and sanitization touches only the bytes of the
+decorations it rewrites. A decoration's key and value are decoded from its
+wire record when they are read.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import string
 from dataclasses import dataclass, replace
 from itertools import groupby
 from operator import itemgetter
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional
 from urllib.parse import quote, unquote
 
 from .errors import UrlParseError
@@ -58,23 +59,20 @@ class LinkDecoration(NamedTuple):
 class DecoratedUrl:
     scheme: str
     fqdn: str  # lowercase hostname
-    path_segments: tuple[str, ...]  # decoded directory levels, resource excluded
-    resource_name: str
-    query_params: tuple[tuple[str, str], ...]  # decoded, order & dups preserved
-    fragment: Union[None, str, tuple[tuple[str, str], ...]]
-    raw: str
-    # wire-level carriers used for byte-exact reassembly
     raw_authority: str
-    raw_dir_segments: tuple[str, ...]
+    raw_dir_segments: tuple[str, ...]  # directory levels, resource excluded
     raw_resource: str
-    raw_query_tokens: tuple[str, ...]
+    raw_query_tokens: tuple[str, ...]  # order & duplicates preserved
     raw_fragment: Optional[str]
     had_path: bool
     had_query: bool
 
     @property
     def fragment_is_kv(self) -> bool:
-        return isinstance(self.fragment, tuple)
+        """A fragment is ``key=value`` pairs when every ``&`` token holds
+        ``=``; otherwise it is one singular value."""
+        return self.raw_fragment is not None and all(
+            "=" in t for t in self.raw_fragment.split("&"))
 
 
 @dataclass(frozen=True)
@@ -92,6 +90,19 @@ class RawDecoration:
     value: str
     bare: bool
 
+    @property
+    def decoded_key(self) -> str:
+        """The key rules name: a path level or singular fragment keeps its
+        name, and any other key is percent-decoded once."""
+        if self.bare and self.kind != QUERY_KIND:
+            return self.key
+        return _decode(self.key)
+
+    @property
+    def decoded_value(self) -> str:
+        """The value, percent-decoded once."""
+        return _decode(self.value)
+
 
 def _decode(text: str) -> str:
     """One round of percent-decoding; malformed escapes are left alone."""
@@ -101,24 +112,6 @@ def _decode(text: str) -> str:
 def _encode_token(value: str) -> str:
     """Percent-encode a synthesized component value (delimiters only)."""
     return quote(value, safe=_TOKEN_SAFE)
-
-
-def _split_query_token(token: str) -> tuple[str, str]:
-    if "=" in token:
-        k, v = token.split("=", 1)
-        return _decode(k), _decode(v)
-    return _decode(token), ""
-
-
-def _parse_fragment(raw_fragment: Optional[str]):
-    if raw_fragment is None:
-        return None
-    if raw_fragment == "":
-        return ""
-    tokens = raw_fragment.split("&")
-    if all("=" in t for t in tokens):
-        return tuple(_split_query_token(t) for t in tokens)
-    return _decode(raw_fragment)
 
 
 def decompose(url: str) -> DecoratedUrl:
@@ -180,11 +173,6 @@ def decompose(url: str) -> DecoratedUrl:
     return DecoratedUrl(
         scheme=scheme,
         fqdn=fqdn,
-        path_segments=tuple(_decode(s) for s in raw_dir_segments),
-        resource_name=_decode(raw_resource),
-        query_params=tuple(_split_query_token(t) for t in raw_query_tokens),
-        fragment=_parse_fragment(raw_fragment),
-        raw=url,
         raw_authority=raw_authority,
         raw_dir_segments=raw_dir_segments,
         raw_resource=raw_resource,
@@ -209,33 +197,10 @@ def reassemble(d: DecoratedUrl) -> str:
     return "".join(out)
 
 
-def decoded_decorations(d: DecoratedUrl):
-    """``(kind, key, value)`` of each decoration of ``d``, decoded once, in
-    URL order: one per directory level (resource name excluded), per query
-    pair, and per fragment entry."""
-    for i, seg in enumerate(d.path_segments):
-        yield PATH_KIND, f"path|{i}", seg
-    for key, value in d.query_params:
-        yield QUERY_KIND, key, value
-    if d.fragment_is_kv:
-        for key, value in d.fragment:
-            yield FRAGMENT_KIND, key, value
-    elif d.fragment is not None:
-        yield FRAGMENT_KIND, "fragment", d.fragment
-
-
-def name_decorations(d: DecoratedUrl, site: str) -> list[LinkDecoration]:
-    """The link decorations of ``d`` in URL order, with ids following the
-    ``fqdn|key`` scheme and the originating site recorded, and positions
-    counted within each kind."""
-    return [LinkDecoration(DecorationId(site, d.fqdn, key), kind, value, i)
-            for kind, group in groupby(decoded_decorations(d), itemgetter(0))
-            for i, (_, key, value) in enumerate(group)]
-
-
 def raw_decorations(d: DecoratedUrl) -> list[RawDecoration]:
-    """Wire-level view of the decorations of ``d``, in
-    ``decoded_decorations`` order."""
+    """The decorations of ``d`` in URL order: one per directory level
+    (resource name excluded), per query token, and per fragment pair or
+    singular fragment."""
     decs = [RawDecoration(PATH_KIND, f"path|{i}", seg, True)
             for i, seg in enumerate(d.raw_dir_segments)]
     tokens = [(QUERY_KIND, t) for t in d.raw_query_tokens]
@@ -248,6 +213,19 @@ def raw_decorations(d: DecoratedUrl) -> list[RawDecoration]:
         decs.append(RawDecoration(FRAGMENT_KIND, "fragment", d.raw_fragment,
                                   True))
     return decs
+
+
+def name_decorations(d: DecoratedUrl,
+                     site: str) -> list[tuple[LinkDecoration, RawDecoration]]:
+    """``(LinkDecoration, RawDecoration)`` for each decoration of ``d`` in
+    URL order: its id following the ``fqdn|key`` scheme with the originating
+    site recorded, its decoded value and its position counted within its
+    kind, paired with the wire record they were decoded from."""
+    return [(LinkDecoration(DecorationId(site, d.fqdn, raw.decoded_key),
+                            kind, raw.decoded_value, i), raw)
+            for kind, group in groupby(raw_decorations(d),
+                                       lambda raw: raw.kind)
+            for i, raw in enumerate(group)]
 
 
 def with_decorations(d: DecoratedUrl, decs) -> str:
@@ -399,19 +377,18 @@ def sanitize(url: str, site: str, rules, mode: str = "replace",
     rng = random.Random(seed)
 
     if audit is not None:
-        depth = len(d.path_segments)
+        depth = len(d.raw_dir_segments)
         audit.extend(
             f"inapplicable rule {rule.key} (URL depth {depth}): {url}"
             for rule in index.inapplicable(site, d.fqdn, depth))
 
     out: list[RawDecoration] = []
-    for (kind, key, value), raw in zip(decoded_decorations(d),
-                                       raw_decorations(d)):
-        if not any(index.matching(site, d.fqdn, key)):
+    for raw in raw_decorations(d):
+        if not any(index.matching(site, d.fqdn, raw.decoded_key)):
             out.append(raw)
-        elif mode == "replace" or kind == PATH_KIND:
-            token = _encode_token(random_token(rng, len(value)))
+        elif mode == "replace" or raw.kind == PATH_KIND:
+            token = _encode_token(random_token(rng, len(raw.decoded_value)))
             # a key-only query token gains its "="
             out.append(replace(raw, value=token,
-                               bare=raw.bare and kind != QUERY_KIND))
+                               bare=raw.bare and raw.kind != QUERY_KIND))
     return with_decorations(d, out)

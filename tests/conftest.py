@@ -4,11 +4,19 @@ import pytest
 
 from linkscrub.features import FEATURE_NAMES
 from linkscrub.trace import Trace, TraceEvent
+from linkscrub.urls import name_decorations
 
 
 def named(fv):
     """A feature vector as a dict from feature name to value."""
     return dict(zip(FEATURE_NAMES, fv))
+
+
+def decoded(d, kind):
+    """``(key, value)`` of each ``kind`` decoration of the decomposed URL
+    ``d``, in URL order, as ``name_decorations`` decodes them."""
+    return [(dec.id.key, dec.value) for dec, _ in name_decorations(d, "s")
+            if dec.kind == kind]
 
 
 class TraceBuilder:

@@ -2,20 +2,22 @@
 the per-node BFS structural metrics, the per-decoration feature extraction,
 the per-decoration labeling with its scan of every request rule, the
 recursive tree grower with its per-feature float split search, row-by-row
-scoring and the explanation that adds into a numpy array, and the
-sanitizer's scan of every rule for every decoration that
+scoring and the explanation that adds into a numpy array, the
+sanitizer's scan of every rule for every decoration, and the decoding of a
+URL's components into decorations that
 ``graph.detect_exfiltration``, ``graph.detect_infiltration``,
 ``features.ViewMetrics``, ``features.features_for_graph``,
 ``labels.label_decorations`` with its ``RequestRuleIndex``, the array-backed
-and rank-coded ``forest`` and ``urls.RuleIndex`` replaced. The replacements
-must give equal edges, evidence, floats, labels, trees, scores,
-explanations, URLs and audits, so these keep the replaced arithmetic and
-order."""
+and rank-coded ``forest``, ``urls.RuleIndex`` and ``urls``' per-record
+decoding replaced. The replacements must give equal edges, evidence,
+floats, labels, trees, scores, explanations, URLs, audits and decorations,
+so these keep the replaced arithmetic and order."""
 
 import math
 import random
 from collections import deque
 from dataclasses import replace
+from urllib.parse import unquote
 
 import numpy as np
 
@@ -29,9 +31,9 @@ from linkscrub.graph import (DECORATION, ENCODINGS, EXFILTRATION,
                              _storage_node_id, encode_candidates)
 from linkscrub.labels import (ATS, ATS_PURPOSES, NON_ATS, UNKNOWN,
                               LabeledDecoration, cookie_purpose)
-from linkscrub.urls import (PATH_KIND, QUERY_KIND, _encode_token, decompose,
-                            fqdn_pattern_matches, name_decorations,
-                            random_token, raw_decorations, with_decorations)
+from linkscrub.urls import (FRAGMENT_KIND, PATH_KIND, QUERY_KIND,
+                            _encode_token, decompose, fqdn_pattern_matches,
+                            name_decorations, random_token, with_decorations)
 
 
 def _match_encoding(candidates, haystacks):
@@ -654,7 +656,7 @@ def reference_sanitize(url, site, rules, mode="replace", seed=0, audit=None):
     rng = random.Random(seed)
 
     if audit is not None:
-        depth = len(d.path_segments)
+        depth = len(d.raw_dir_segments)
         for rule in rules:
             if (rule.key.startswith("path|")
                     and rule.scope in ("*", site)
@@ -666,7 +668,7 @@ def reference_sanitize(url, site, rules, mode="replace", seed=0, audit=None):
                         f"inapplicable rule {rule.key} (URL depth {depth}): {url}")
 
     out = []
-    for dec, raw in zip(name_decorations(d, site), raw_decorations(d)):
+    for dec, raw in name_decorations(d, site):
         if not any(_rule_matches(r, site, d.fqdn, dec.id.key) for r in rules):
             out.append(raw)
         elif mode == "replace" or dec.kind == PATH_KIND:
@@ -674,3 +676,34 @@ def reference_sanitize(url, site, rules, mode="replace", seed=0, audit=None):
             out.append(replace(raw, value=token,
                                bare=raw.bare and dec.kind != QUERY_KIND))
     return with_decorations(d, out)
+
+
+def _decode(text):
+    return unquote(text, errors="replace")
+
+
+def _split_query_token(token):
+    if "=" in token:
+        k, v = token.split("=", 1)
+        return _decode(k), _decode(v)
+    return _decode(token), ""
+
+
+def reference_decorations(url):
+    """``(kind, key, value)`` of each decoration of ``url`` in URL order,
+    decoded once from the whole components: a directory level is decoded
+    as a segment, a query token splits at its first ``=`` (a token without
+    one is a key with an empty value), and a fragment is pairs when every
+    ``&`` token holds ``=``, else one singular value named ``fragment``."""
+    d = decompose(url)
+    out = [(PATH_KIND, f"path|{i}", _decode(seg))
+           for i, seg in enumerate(d.raw_dir_segments)]
+    out += [(QUERY_KIND, *_split_query_token(t)) for t in d.raw_query_tokens]
+    fragment = d.raw_fragment
+    if fragment is not None:
+        tokens = fragment.split("&")
+        if all("=" in t for t in tokens):
+            out += [(FRAGMENT_KIND, *_split_query_token(t)) for t in tokens]
+        else:
+            out.append((FRAGMENT_KIND, "fragment", _decode(fragment)))
+    return out

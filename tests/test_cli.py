@@ -361,6 +361,54 @@ for _name, _config, _field in (
          "m.csv": _matrix(_ROW)}, _PREDICT, f"'config': {_field} must be")
 
 
+# each numeric option on a command that takes it (None holds the value),
+# and the exit codes for the values nan, -1 and 0; an int option reads no nan
+_NUMERIC_OPTIONS = {
+    "--seed": (["--seed", None, "parse", "t.jsonl"], (1, 1, 0)),
+    "--min-value-len": (["--min-value-len", None, "graph", "t.jsonl"],
+                        (1, 1, 0)),
+    "--threshold": (["--threshold", None, *_PREDICT], (1, 1, 0)),
+    "--sites": (["generate", "--out", "g", "--sites", None], (1, 1, 1)),
+    "--trackers-per-site": (["generate", "--out", "g",
+                             "--trackers-per-site", None], (1, 1, 1)),
+    "train --trees": ([*_TRAIN, "--trees", None], (1, 1, 1)),
+    "cv --trees": (["cv", "--matrix", "m.csv", "--labels", "l.csv",
+                    "--trees", None], (1, 1, 1)),
+    "--folds": (["cv", "--matrix", "m.csv", "--labels", "l.csv",
+                 "--folds", None], (1, 1, 1)),
+    "--top": (["stats", "t.jsonl", "--top", None], (1, 1, 0)),
+}
+
+
+@pytest.mark.parametrize("name,value,code", [
+    (name, value, code) for name, (_argv, codes) in _NUMERIC_OPTIONS.items()
+    for value, code in zip(("nan", "-1", "0"), codes)])
+def test_numeric_option_out_of_range_is_refused_naming_it(
+        name, value, code, tmp_path, monkeypatch, capsys):
+    files = {"t.jsonl": HEADER, "model.json": _model([_LEAF]),
+             "m.csv": _matrix(_ROW), "l.csv": _LABELS}
+    for file, content in files.items():
+        (tmp_path / file).write_text(content)
+    argv = [value if arg is None else arg
+            for arg in _NUMERIC_OPTIONS[name][0]]
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "argv", ["linkscrub", *argv])
+    try:
+        run()
+        got = 0
+    except SystemExit as exc:
+        got = exc.code
+    err = capsys.readouterr().err
+    assert got == code, err
+    if code:
+        option = name.split()[-1]
+        assert f"Error: Invalid value for '{option}'" in err, err
+        assert "Traceback" not in err
+        # a refused command writes nothing
+        assert not (tmp_path / "g").exists()
+        assert not (tmp_path / "x.json").exists()
+
+
 def _deep_tree_inputs(n=3000):
     """A matrix and labels on which ``train`` with seed 0 grows a first
     tree over 1,000 levels deep. The rows its bootstrap draws exactly once

@@ -10,7 +10,7 @@ from linkscrub.synthetic import SyntheticConfig, generate_synthetic
 from linkscrub.trace import Trace
 from linkscrub.urls import decompose
 
-from conftest import TraceBuilder, named
+from conftest import TraceBuilder, decoded, named
 
 CFG = SyntheticConfig(sites=4, seed=2, encodings=("plain", "base64"))
 
@@ -42,11 +42,11 @@ def test_rename_keeps_values_and_counts():
             if a.kind in ("request", "element_request"):
                 da = decompose(a.payload["url"])
                 db = decompose(b.payload["url"])
-                assert sorted(da.path_segments) == sorted(db.path_segments)
-                assert [v for _k, v in da.query_params] == \
-                    [v for _k, v in db.query_params]
-                assert [k for k, _v in da.query_params] != \
-                    [k for k, _v in db.query_params] or not da.query_params
+                qa, qb = decoded(da, "query"), decoded(db, "query")
+                assert sorted(v for _k, v in decoded(da, "path")) == \
+                    sorted(v for _k, v in decoded(db, "path"))
+                assert [v for _k, v in qa] == [v for _k, v in qb]
+                assert [k for k, _v in qa] != [k for k, _v in qb] or not qa
 
 
 def test_rename_is_deterministic_per_seed():
@@ -94,8 +94,9 @@ def test_split_chunk_arithmetic(tb):
     t = tb.request("s1", "r1", f"https://t.example/?uid={value}").build()
     out = evade_split([t])[0]
     d = decompose(out.events[0].payload["url"])
-    assert d.query_params == (("uid_0", "ABCDEFGH"), ("uid_1", "12345678"))
-    assert "".join(v for _k, v in d.query_params) == value
+    assert decoded(d, "query") == [("uid_0", "ABCDEFGH"),
+                                   ("uid_1", "12345678")]
+    assert "".join(v for _k, v in decoded(d, "query")) == value
 
 
 def test_split_covers_path_query_fragment(tb):
@@ -104,9 +105,11 @@ def test_split_covers_path_query_fragment(tb):
         "https://t.example/abcdefghij/r?q=0123456789AB#fragmentvalue"
     ).build()
     d = decompose(evade_split([t])[0].events[0].payload["url"])
-    assert d.path_segments == ("abcdefgh", "ij")
-    assert d.query_params == (("q_0", "01234567"), ("q_1", "89AB"))
-    assert d.fragment == (("fragment_0", "fragment"), ("fragment_1", "value"))
+    assert decoded(d, "path") == [("path|0", "abcdefgh"), ("path|1", "ij")]
+    assert decoded(d, "query") == [("q_0", "01234567"), ("q_1", "89AB")]
+    assert d.fragment_is_kv
+    assert decoded(d, "fragment") == [("fragment_0", "fragment"),
+                                      ("fragment_1", "value")]
 
 
 def test_split_leaves_short_values_alone(tb):
@@ -121,10 +124,11 @@ def test_combine_single_64_hex_path_decoration(tb):
         "https://t.example/a/b/r?x=1&y=2#z").build()  # 5 decorations
     out = evade_combine([t])[0]
     d = decompose(out.events[0].payload["url"])
-    assert len(d.path_segments) == 1
-    assert d.query_params == ()
-    assert d.fragment is None
-    digest = d.path_segments[0]
+    dirs = decoded(d, "path")
+    assert len(dirs) == 1
+    assert decoded(d, "query") == []
+    assert d.raw_fragment is None
+    digest = dirs[0][1]
     assert len(digest) == 64
     assert all(c in "0123456789abcdef" for c in digest)
 

@@ -85,6 +85,16 @@ def test_parse_native_rejects_bad_header_fields_action_score():
             head + "*\tf\tk\treplace\t1.5\tm\n"))
 
 
+def test_parse_native_reads_strip_as_replace():
+    # the fourth column is checked, not kept: sanitize's mode decides
+    rules = filters.parse_native(io.StringIO(
+        "# decoration-filter-list v1\n*\tf\tk\tstrip\t0.5\tm\n"))
+    assert list(rules) == [filters.FilterRule("*", "f", "k", 0.5, "m")]
+    buf = io.StringIO()
+    filters.write_native(rules, buf)
+    assert buf.getvalue().splitlines()[-1] == "*\tf\tk\treplace\t0.5\tm"
+
+
 def test_export_adblock_query_rules():
     rules = [
         filters.FilterRule("*", "tracker.example", "gclid"),

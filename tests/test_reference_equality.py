@@ -33,8 +33,8 @@ from linkscrub.graph import (DECORATION, ENCODINGS, EXFILTRATION,
                              build_graph,
                              detect_exfiltration, detect_infiltration,
                              encode_candidates)
-from linkscrub.urls import (RuleIndex, decompose, decoded_decorations,
-                            sanitize)
+from linkscrub.urls import (RuleIndex, decompose, name_decorations,
+                            raw_decorations, sanitize)
 
 from conftest import TraceBuilder
 from reference_scan import (ReferenceGraphIndex, ReferenceViewMetrics,
@@ -46,8 +46,8 @@ from reference_scan import (ReferenceGraphIndex, ReferenceViewMetrics,
                             reference_features_for_graph,
                             reference_label_decorations,
                             reference_match_request_filter,
-                            reference_predict_scores, reference_sanitize,
-                            reference_trees)
+                            reference_decorations, reference_predict_scores,
+                            reference_sanitize, reference_trees)
 
 # 'İ'.lower() is two characters long, so a lowered haystack holding it is
 # longer than the haystack and its match spans shift
@@ -632,6 +632,49 @@ def test_hundred_tree_scores_equal_reference():
     assert (sum(per_tree) / 100 != scores).any()
 
 
+# -- decorations decoded from their wire records -------------------------------
+
+# pieces of keys and values: plain, percent-escaped (delimiters too),
+# malformed escapes, and delimiters a rule key may hold
+_ESCAPED = st.lists(st.sampled_from(
+    ["a", "Z", "0", "é", "|", "=", "%20", "%41", "%3D", "%26", "%7C",
+     "%e4%b8%ad", "%", "%zz"]), max_size=4).map("".join)
+
+
+@st.composite
+def _escaped_urls(draw):
+    """A URL whose directory levels, query tokens and fragment are drawn
+    from escaped pieces: tokens with and without ``=``, a ``?`` with no
+    tokens, and a fragment that is absent, bare, pairs or singular."""
+    dirs = draw(st.lists(_ESCAPED, max_size=3))
+    url = "https://h.example/" + "".join(d + "/" for d in dirs) + "r"
+    token = st.one_of(_ESCAPED, st.tuples(_ESCAPED, _ESCAPED).map("=".join))
+    if draw(st.booleans()):
+        url += "?" + "&".join(draw(st.lists(token, max_size=4)))
+    fragment = draw(st.one_of(
+        st.none(), st.sampled_from(["", "a=1&b", "frag", "u%69d=1&x="]),
+        st.lists(token, min_size=1, max_size=3).map("&".join)))
+    return url if fragment is None else url + "#" + fragment
+
+
+@settings(max_examples=500, deadline=None)
+@given(_escaped_urls())
+def test_decorations_equal_reference_decoding(url):
+    d = decompose(url)
+    want = reference_decorations(url)
+    named = name_decorations(d, "s.example")
+    assert [(dec.kind, dec.id.key, dec.value) for dec, _ in named] == want
+    assert [raw for _, raw in named] == raw_decorations(d)
+    assert [(raw.kind, raw.decoded_key, raw.decoded_value)
+            for raw in raw_decorations(d)] == want
+    # positions count from 0 within each kind
+    seen = {}
+    for dec, _ in named:
+        assert dec.position == seen.get(dec.kind, 0)
+        seen[dec.kind] = dec.position + 1
+        assert dec.id == ("s.example", "h.example", dec.id.key)
+
+
 # -- sanitizer rule index -----------------------------------------------------
 
 _LABELS = ["a", "b", "trk", "*"]
@@ -691,7 +734,7 @@ def test_sanitize_equals_reference_scan(url, site, rules, mode, seed,
 
 def _sanitize_cases(url, site, rules):
     d = decompose(url)
-    keys = {key for _, key, _ in decoded_decorations(d)}
+    keys = {key for _, key, _ in reference_decorations(url)}
     cases = set()
     for rule in rules:
         if rule.key not in keys or rule.scope not in ("*", site):

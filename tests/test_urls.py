@@ -12,6 +12,8 @@ from linkscrub import filters, urls
 from linkscrub.errors import UrlParseError
 from linkscrub.filters import FilterRule
 
+from conftest import decoded
+
 EXAMPLE = "https://a.site.example/YYY/ZZZ/pixel.jpg?ISBN=ABC&UID=DEF123#xyz"
 
 
@@ -19,15 +21,15 @@ def test_example_url_decomposition():
     d = urls.decompose(EXAMPLE)
     assert d.scheme == "https"
     assert d.fqdn == "a.site.example"
-    assert d.path_segments == ("YYY", "ZZZ")
-    assert d.resource_name == "pixel.jpg"
-    assert d.query_params == (("ISBN", "ABC"), ("UID", "DEF123"))
-    assert d.fragment == "xyz"
+    assert decoded(d, "path") == [("path|0", "YYY"), ("path|1", "ZZZ")]
+    assert d.raw_resource == "pixel.jpg"
+    assert decoded(d, "query") == [("ISBN", "ABC"), ("UID", "DEF123")]
+    assert decoded(d, "fragment") == [("fragment", "xyz")]
 
 
 def test_example_url_naming():
     d = urls.decompose(EXAMPLE)
-    decs = urls.name_decorations(d, "site.example")
+    decs = [dec for dec, _ in urls.name_decorations(d, "site.example")]
     assert len(decs) == 5
     assert [(x.id.key, x.value) for x in decs] == [
         ("path|0", "YYY"),
@@ -42,20 +44,22 @@ def test_example_url_naming():
 
 def test_resource_name_is_not_a_decoration():
     d = urls.decompose("https://h.example/a/b/c.gif")
-    keys = [x.id.key for x in urls.name_decorations(d, "h.example")]
+    keys = [x.id.key for x, _ in urls.name_decorations(d, "h.example")]
     assert keys == ["path|0", "path|1"]
 
 
 def test_fragment_key_value_form():
     d = urls.decompose("https://h.example/#a=1&b=2")
-    assert d.fragment == (("a", "1"), ("b", "2"))
-    keys = [x.id.key for x in urls.name_decorations(d, "h.example")]
+    assert d.fragment_is_kv
+    assert decoded(d, "fragment") == [("a", "1"), ("b", "2")]
+    keys = [x.id.key for x, _ in urls.name_decorations(d, "h.example")]
     assert keys == ["a", "b"]
 
 
 def test_fragment_singular_when_any_token_lacks_equals():
     d = urls.decompose("https://h.example/#a=1&b")
-    assert d.fragment == "a=1&b"
+    assert not d.fragment_is_kv
+    assert decoded(d, "fragment") == [("fragment", "a=1&b")]
 
 
 @pytest.mark.parametrize("url", [
@@ -125,8 +129,8 @@ def test_raw_decorations_follow_name_order(url, values):
     d = urls.decompose(url)
     raws = urls.raw_decorations(d)
     assert [r.value for r in raws] == values
-    assert [r.kind for r in raws] == \
-        [x.kind for x in urls.name_decorations(d, "s.example")]
+    assert [(r.kind, r) for r in raws] == \
+        [(x.kind, raw) for x, raw in urls.name_decorations(d, "s.example")]
     assert urls.with_decorations(d, raws) == url
 
 
@@ -135,16 +139,16 @@ def test_raw_decorations_follow_name_order(url, values):
 def test_decoration_count_matches_components(url):
     d = urls.decompose(url)
     decs = urls.name_decorations(d, "s.example")
-    expect = len(d.path_segments) + len(d.query_params)
-    if d.fragment is not None:
-        expect += len(d.fragment) if d.fragment_is_kv else 1
+    expect = len(d.raw_dir_segments) + len(d.raw_query_tokens)
+    if d.raw_fragment is not None:
+        expect += len(d.raw_fragment.split("&")) if d.fragment_is_kv else 1
     assert len(decs) == expect
 
 
 # -- sanitization -------------------------------------------------------------
 
-def _rule(key, scope="*", fqdn="*", action="replace"):
-    return FilterRule(scope, fqdn, key, action)
+def _rule(key, scope="*", fqdn="*"):
+    return FilterRule(scope, fqdn, key)
 
 
 def test_sanitize_empty_rules_is_identity():
@@ -164,13 +168,17 @@ def test_sanitize_replace_preserves_lengths_and_structure():
                         [_rule("uid"), _rule("path|0"), _rule("fragment")],
                         seed=7)
     d_in, d_out = urls.decompose(url), urls.decompose(out)
-    assert len(d_out.path_segments[0]) == len(d_in.path_segments[0])
-    assert d_out.path_segments[0] != d_in.path_segments[0]
-    assert d_out.query_params[0][0] == "uid"
-    assert len(d_out.query_params[0][1]) == 8
-    assert d_out.query_params[0][1] != "abcdef12"
-    assert len(d_out.fragment) == 4 and d_out.fragment != "frag"
-    assert d_out.resource_name == "page"
+    dir_in, dir_out = decoded(d_in, "path")[0][1], decoded(d_out, "path")[0][1]
+    assert len(dir_out) == len(dir_in)
+    assert dir_out != dir_in
+    query = decoded(d_out, "query")
+    assert query[0][0] == "uid"
+    assert len(query[0][1]) == 8
+    assert query[0][1] != "abcdef12"
+    fragment = decoded(d_out, "fragment")
+    assert fragment[0][0] == "fragment"
+    assert len(fragment[0][1]) == 4 and fragment[0][1] != "frag"
+    assert d_out.raw_resource == "page"
 
 
 def test_sanitize_deterministic_per_seed():
@@ -185,10 +193,10 @@ def test_sanitize_deterministic_per_seed():
 def test_sanitize_path_rule_never_strips():
     url = "https://h.example/abcd/x"
     out = urls.sanitize(url, "s", [_rule("path|0")], mode="strip")
-    d = urls.decompose(out)
-    assert len(d.path_segments) == 1
-    assert len(d.path_segments[0]) == 4
-    assert d.path_segments[0] != "abcd"
+    dirs = decoded(urls.decompose(out), "path")
+    assert len(dirs) == 1
+    assert len(dirs[0][1]) == 4
+    assert dirs[0][1] != "abcd"
 
 
 @pytest.mark.parametrize("url,keys,mode,expected", [
@@ -311,6 +319,6 @@ def test_build_url_escapes_delimiters():
     url = urls.build_url("https", "h.example", ["a b"], "r",
                          [("k&", "v=1")], "f#g")
     d = urls.decompose(url)
-    assert d.path_segments == ("a b",)
-    assert d.query_params == (("k&", "v=1"),)
-    assert d.fragment == "f#g"
+    assert decoded(d, "path") == [("path|0", "a b")]
+    assert decoded(d, "query") == [("k&", "v=1")]
+    assert decoded(d, "fragment") == [("fragment", "f#g")]
