@@ -45,11 +45,20 @@ def main(ctx, seed, min_value_len, threshold):
                "threshold": threshold}
 
 
+# click 8.2 and later report a bare ``linkscrub`` as an error that shows
+# the help; earlier versions show it and exit 0
+_BARE_COMMAND = getattr(click.exceptions, "NoArgsIsHelpError", ())
+
+
 def run() -> None:
     try:
         main.main(standalone_mode=False)
-    except click.ClickException as exc:
+    except _BARE_COMMAND as exc:
         exc.show()
+        sys.exit(1)
+    except click.ClickException as exc:
+        # one line, as for an InputError: no usage line, no --help hint
+        click.echo(f"error: {exc.format_message()}", err=True)
         sys.exit(1)
     except click.Abort:
         sys.exit(1)

@@ -13,6 +13,7 @@ import json
 import math
 import sys
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from typing import IO, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -55,12 +56,50 @@ class Tree(NamedTuple):
     counts: list
 
 
+class Walk(NamedTuple):
+    """One tree as its readers walk it: the tree's ``feature``,
+    ``threshold`` and ``right`` lists, each node's ATS proportion
+    ``p[i] = n1 / (n0 + n1)``, and ``step[i]``, what the move from node
+    ``i``'s parent to node ``i`` adds to the forest's mean score,
+    ``(p[i] - p[parent]) / n_trees`` (0.0 at the root). ``arrays`` holds
+    the feature, threshold, right and p columns as numpy arrays, for walks
+    of many rows at once."""
+    feature: list
+    threshold: list
+    right: list
+    p: list
+    step: list
+    arrays: tuple
+
+
+def _walk(tree: Tree, n_trees: int) -> Walk:
+    feature = np.asarray(tree.feature)
+    right = np.asarray(tree.right)
+    # Python's int / int, not a float64 array: a loaded count may hold more
+    # digits than a float, and int / int rounds its quotient exactly
+    p = np.array([c1 / (c0 + c1) for c0, c1 in tree.counts])
+    parent = np.zeros(len(p), dtype=np.intp)
+    splits = np.flatnonzero(feature >= 0)
+    parent[splits + 1] = parent[right[splits]] = splits
+    step = (p - p[parent]) / n_trees
+    threshold = np.asarray(tree.threshold, dtype=np.float64)
+    return Walk(tree.feature, tree.threshold, tree.right, p.tolist(),
+                step.tolist(), (feature, threshold, right, p))
+
+
 @dataclass
 class Forest:
     trees: list  # of Tree, as grown, scored, explained and saved
     feature_names: tuple[str, ...]
     feature_version: str
     config: ForestConfig
+
+    @cached_property
+    def walks(self) -> list[Walk]:
+        """One ``Walk`` per tree, built on first use. It lives only in
+        memory: ``save_forest`` writes ``trees``, and a forest made with
+        ``dataclasses.replace`` builds its own."""
+        return [_walk(tree, len(self.trees)) for tree in self.trees]
 
 
 def _check_matrix(X: np.ndarray, n_features: int) -> None:
@@ -199,13 +238,11 @@ def train(X: np.ndarray, y: np.ndarray, cfg: ForestConfig,
     return Forest(trees, tuple(feature_names), feature_version, cfg)
 
 
-def _leaf_p1(tree: Tree, X: np.ndarray) -> np.ndarray:
-    """ATS leaf proportion of ``tree`` for every row of ``X``: all rows step
-    down one level at a time, and a row leaves the walk at its leaf."""
-    feature = np.asarray(tree.feature)
-    threshold = np.asarray(tree.threshold, dtype=np.float64)
-    right = np.asarray(tree.right)
-    p1 = np.array([c1 / (c0 + c1) for c0, c1 in tree.counts])
+def _leaf_p1(walk: Walk, X: np.ndarray) -> np.ndarray:
+    """ATS leaf proportion of ``walk``'s tree for every row of ``X``: all
+    rows step down one level at a time, and a row leaves the walk at its
+    leaf."""
+    feature, threshold, right, p1 = walk.arrays
     leaf = np.zeros(X.shape[0], dtype=np.intp)
     rows = np.flatnonzero(feature[leaf] >= 0)
     at = leaf[rows]
@@ -223,8 +260,8 @@ def predict_scores(forest: Forest, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     _check_matrix(X, len(forest.feature_names))
     P = np.empty((X.shape[0], len(forest.trees)))
-    for j, tree in enumerate(forest.trees):
-        P[:, j] = _leaf_p1(tree, X)
+    for j, walk in enumerate(forest.walks):
+        P[:, j] = _leaf_p1(walk, X)
     # a row of C-contiguous P is summed pairwise, as np.mean sums a list
     return P.mean(axis=1)
 
@@ -245,20 +282,15 @@ def decompose_prediction(forest: Forest, x: np.ndarray):
     x = x.tolist()
     contrib = [0.0] * n_features
     prior = score = 0.0
-    n_trees = len(forest.trees)
-    for feature, threshold, right, counts in forest.trees:
-        c0, c1 = counts[0]
-        p = c1 / (c0 + c1)
-        prior += p
+    for feature, threshold, right, p, step, _ in forest.walks:
+        prior += p[0]
         i, f = 0, feature[0]
         while f >= 0:
             i = i + 1 if x[f] <= threshold[i] else right[i]
-            c0, c1 = counts[i]
-            p_child = c1 / (c0 + c1)
-            contrib[f] += (p_child - p) / n_trees
-            p = p_child
+            contrib[f] += step[i]
             f = feature[i]
-        score += p
+        score += p[i]
+    n_trees = len(forest.trees)
     return prior / n_trees, np.array(contrib), score / n_trees
 
 

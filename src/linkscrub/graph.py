@@ -425,11 +425,15 @@ def detect_infiltration(g: PageGraph) -> PageGraph:
                  if n.attrs.get("direction") == "response"]
     carriers = [resp for resp in responses if resp.attrs.get("payload")]
     payloads = [resp.attrs["payload"] for resp in carriers]
+    # a write at or before the first payload's seq can pair with no response,
+    # and with no payload none can
+    first = min((resp.attrs.get("seq", 0) for resp in carriers),
+                default=float("inf"))
     writes: dict[str, list[int]] = {}  # value -> its storage_writes indexes
-    for wi, (_seq, _storage_id, value) in enumerate(g.storage_writes):
-        if value:
+    for wi, (seq, _storage_id, value) in enumerate(g.storage_writes):
+        if value and seq > first:
             writes.setdefault(value, []).append(wi)
-    values = list(writes) if carriers else []
+    values = list(writes)
     encoded = EncodedValues()
     candidates = _prefix_pairs([list(encoded[v].values()) for v in values],
                                [[p, p.lower()] for p in payloads])

@@ -402,11 +402,24 @@ def test_numeric_option_out_of_range_is_refused_naming_it(
     assert got == code, err
     if code:
         option = name.split()[-1]
-        assert f"Error: Invalid value for '{option}'" in err, err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert f"Invalid value for '{option}'" in err, err
+        assert "Usage:" not in err
         assert "Traceback" not in err
         # a refused command writes nothing
         assert not (tmp_path / "g").exists()
         assert not (tmp_path / "x.json").exists()
+
+
+def test_bare_command_shows_the_help_not_an_error_line(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["linkscrub"])
+    try:
+        run()
+    except SystemExit:
+        pass
+    out, err = capsys.readouterr()
+    assert "Usage:" in out + err and "Commands:" in out + err
+    assert "error:" not in err
 
 
 def _deep_tree_inputs(n=3000):

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -169,6 +170,48 @@ def test_save_load_round_trip():
                        forest.predict_scores(model, X))
 
 
+def _saved(model):
+    buf = io.StringIO()
+    forest.save_forest(model, buf)
+    return buf.getvalue()
+
+
+def _explained(model, X):
+    """Each row's prior, contributions and score, as bytes."""
+    out = []
+    for x in X:
+        prior, contrib, score = forest.decompose_prediction(model, x)
+        out.append(np.array([prior, *contrib, score]).tobytes())
+    return out
+
+
+def test_walk_table_is_neither_saved_nor_needed_to_explain():
+    X, y = _toy_data(n=150, seed=13, gap=False)
+    model = forest.train(X, y, forest.ForestConfig(tree_count=7, seed=4),
+                         [f"f{i}" for i in range(5)])
+    saved = _saved(model)
+    scores = forest.predict_scores(model, X)
+    explained = _explained(model, X)
+    assert _saved(model) == saved
+    again = forest.load_forest(io.StringIO(saved))
+    assert _explained(again, X) == explained
+    assert forest.predict_scores(again, X).tobytes() == scores.tobytes()
+
+
+def test_replaced_trees_explain_from_their_own_walk_table():
+    X, y = _toy_data(n=150, seed=14, gap=False)
+    names = [f"f{i}" for i in range(5)]
+    model = forest.train(X, y, forest.ForestConfig(tree_count=7, seed=4),
+                         names)
+    other = forest.train(X, y, forest.ForestConfig(tree_count=3, seed=5),
+                         names)
+    explained = _explained(model, X)  # model's table is built first
+    swapped = dataclasses.replace(model, trees=other.trees)
+    assert _explained(swapped, X) == _explained(other, X) != explained
+    assert (forest.predict_scores(swapped, X)
+            == forest.predict_scores(other, X)).all()
+
+
 def test_load_rejects_unknown_format():
     with pytest.raises(InputError):
         forest.load_forest(io.StringIO('{"format": 99}'))
@@ -187,6 +230,22 @@ def test_load_rejects_a_threshold_no_float_holds(threshold):
             '"right": [-1], "threshold": [0]}, %s]}' % tree)
     with pytest.raises(InputError, match="model tree 1: .*finite threshold"):
         forest.load_forest(io.StringIO(text))
+
+
+def test_counts_no_float_holds_score_as_int_division():
+    # 10**400 does not convert to a float, and 2**60 + 1 rounds to 2**60
+    big, odd = 10 ** 400, 2 ** 60 + 1
+    text = ('{"format": 2, "feature_names": ["a"], "feature_version": "1", '
+            '"config": {}, "trees": [{"counts": [[%d, %d], [%d, 3], [1, %d]], '
+            '"feature": [0, -1, -1], "right": [2, -1, -1], '
+            '"threshold": [0.5, 0, 0]}]}' % (big, big, odd, big))
+    model = forest.load_forest(io.StringIO(text))
+    X = np.array([[0.0], [1.0]])
+    expected = [3 / (odd + 3), big / (1 + big)]
+    assert forest.predict_scores(model, X).tolist() == expected
+    for x, score in zip(X, expected):
+        prior, contrib, got = forest.decompose_prediction(model, x)
+        assert (prior, contrib.tolist(), got) == (0.5, [score - 0.5], score)
 
 
 def test_non_finite_input_rejected():

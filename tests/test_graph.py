@@ -182,13 +182,19 @@ def test_infiltration_script_write_needs_payload_and_order(tb):
     assert ("network:resp:r1", "storage:cookie:other") not in pairs
 
 
-def test_infiltration_ignores_writes_before_response(tb):
+def test_infiltration_ignores_writes_before_response(tb, monkeypatch):
     t = (tb.set("s1", "cookie", "sid", "serverid1")
          .request("s1", "r1", "https://t.example/p")
          .response("r1", payload_text="token=serverid1")
          .build())
+    encoded = []
+    encode = graph.encode_candidates
+    monkeypatch.setattr(graph, "encode_candidates",
+                        lambda value: encoded.append(value) or encode(value))
     g = detect_infiltration(build_graph(t))
     assert _edges(g, kind=INFILTRATION) == []
+    # no write follows the payload, so none is encoded
+    assert encoded == []
 
 
 def test_flow_view_restricts_to_flow_neighborhood(tb):
