@@ -15,7 +15,7 @@ import click
 import numpy as np
 
 from . import evasion, features, filters, forest, labels, stats, synthetic
-from .errors import InputError, InvariantError, LinkscrubError
+from .errors import InputError, InvariantError
 from .graph import DEFAULT_MIN_VALUE_LEN, build_full_graph
 from .trace import load_trace, write_trace
 from .urls import DecorationId, sanitize as sanitize_url
@@ -65,7 +65,7 @@ def run() -> None:
     except InvariantError as exc:
         click.echo(f"invariant violation: {exc}", err=True)
         sys.exit(2)
-    except (LinkscrubError, OSError, UnicodeDecodeError) as exc:
+    except (InputError, OSError, UnicodeDecodeError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
 
@@ -235,13 +235,13 @@ def predict(obj, model, matrix, explain, output):
     fmodel = _load_model(model)
     meta, X = features.read_feature_matrix(matrix)
     # Python floats, so that each score prints as its repr under any numpy
-    scores = forest.predict_scores(fmodel, X).tolist() if len(meta) else []
+    scores = forest.predict_scores(fmodel, X).tolist()
     writer = csv.writer(output, lineterminator="\n")
     writer.writerow(["site", "fqdn", "key", "kind", "score", "label"]
                     + (["top_feature"] if explain else []))
     for i, (row, score) in enumerate(zip(meta, scores)):
         line = [row["site"], row["fqdn"], row["key"], row["kind"], score,
-                "ATS" if score >= obj["threshold"] else "NonATS"]
+                labels.ATS if score >= obj["threshold"] else labels.NON_ATS]
         if explain:
             _, contrib, _ = forest.decompose_prediction(fmodel, X[i])
             line.append(fmodel.feature_names[int(np.argmax(np.abs(contrib)))])
@@ -264,7 +264,7 @@ def emit_list(obj, model, matrix, output):
     """Emit a native filter list from model predictions over a matrix."""
     fmodel = _load_model(model)
     meta, X = features.read_feature_matrix(matrix)
-    scores = forest.predict_scores(fmodel, X) if len(meta) else []
+    scores = forest.predict_scores(fmodel, X)
     rules = filters.emit_filter_list(
         _predictions_from(meta, scores), obj["threshold"],
         model_version=fmodel.feature_version)

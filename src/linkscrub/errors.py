@@ -1,38 +1,12 @@
-"""Exception hierarchy shared by all linkscrub modules.
-
-InputError maps to CLI exit code 1, InvariantError to exit code 2.
+"""The two errors linkscrub raises, one per CLI exit code: InputError maps to
+exit code 1, InvariantError to exit code 2. Each message names where the
+input broke, such as ``line N: ...``.
 """
 
 
-class LinkscrubError(Exception):
-    pass
-
-
-class InputError(LinkscrubError):
+class InputError(Exception):
     """Malformed or missing input (bad URL, bad trace line, bad rule file)."""
 
 
-class InvariantError(LinkscrubError):
+class InvariantError(Exception):
     """A validated internal invariant does not hold."""
-
-
-class UrlParseError(InputError):
-    def __init__(self, message, span=None):
-        super().__init__(message)
-        self.span = span
-
-
-class TraceParseError(InputError):
-    def __init__(self, message, line_no=None):
-        if line_no is not None:
-            message = f"line {line_no}: {message}"
-        super().__init__(message)
-        self.line_no = line_no
-
-
-class RuleLoadError(InputError):
-    def __init__(self, message, rule_text=None):
-        if rule_text is not None:
-            message = f"{message}: {rule_text!r}"
-        super().__init__(message)
-        self.rule_text = rule_text

@@ -13,7 +13,7 @@ import random
 from dataclasses import replace
 from typing import Callable, Optional
 
-from .errors import UrlParseError
+from .errors import InputError
 from .trace import Trace, TraceEvent
 from .urls import (FRAGMENT_KIND, PATH_KIND, DecoratedUrl, RawDecoration,
                    decompose, random_token, raw_decorations, with_decorations)
@@ -35,7 +35,7 @@ def _map_urls(trace: Trace,
             url = ev.payload[field]
             try:
                 d = decompose(url)
-            except UrlParseError:
+            except InputError:
                 pass
             else:
                 ev = ev._replace(payload={**ev.payload, field: fn(d, url, ev)})

@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import InputError
 from .graph import HTML, INTERACTION, SCRIPT, PageGraph
+from .urls import KINDS
 
 FEATURE_VERSION = "1"
 
@@ -236,7 +237,6 @@ class ViewMetrics:
 
 
 _ANCESTRY_LABELS = ("splits", "initiates", "creates", "redirects")
-_SECTIONS = ("path", "query", "fragment")
 
 
 def _ancestors(node_id: str, parents: Callable[[str], Iterable[str]]) -> set:
@@ -396,9 +396,9 @@ def features_for_graph(g: PageGraph) -> list[tuple[str, tuple[float, ...]]]:
                      for d in out["splits"].get(request_id, ())]
             known = requests[request_id] = (
                 _request_block(index, request_id),
-                (0, *accumulate(kinds.count(k) for k in _SECTIONS[:2])))
+                (0, *accumulate(kinds.count(k) for k in KINDS[:2])))
         block, before = known
-        section = _SECTIONS.index(attrs["kind"])
+        section = KINDS.index(attrs["kind"])
         value = attrs["value"]
         if value not in entropy:
             entropy[value] = shannon_entropy(value)

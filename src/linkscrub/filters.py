@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import IO, Iterable, Optional
 
-from .errors import RuleLoadError
+from .errors import InputError
 from .urls import DecorationId, RuleIndex
 
 LIST_FORMAT_VERSION = 1
@@ -77,7 +77,7 @@ def parse_native(fh: IO[str]) -> RuleIndex:
     """Read a native filter list into a :class:`~linkscrub.urls.RuleIndex`."""
     first = fh.readline().rstrip("\n")
     if first != _HEADER:
-        raise RuleLoadError(f"line 1: expected header {_HEADER!r}", first)
+        raise InputError(f"line 1: expected header {_HEADER!r}: {first!r}")
     rules = []
     for line_no, raw in enumerate(fh, start=2):
         line = raw.rstrip("\n")
@@ -85,18 +85,18 @@ def parse_native(fh: IO[str]) -> RuleIndex:
             continue
         parts = line.split("\t")
         if len(parts) != 6:
-            raise RuleLoadError(f"line {line_no}: expected 6 fields", line)
+            raise InputError(f"line {line_no}: expected 6 fields: {line!r}")
         scope, fqdn, key, action, score, model = parts
         if action not in ("replace", "strip"):
-            raise RuleLoadError(f"line {line_no}: bad action {action!r}", line)
+            raise InputError(
+                f"line {line_no}: bad action {action!r}: {line!r}")
         try:
             score_f = float(score)
         except ValueError as exc:
-            raise RuleLoadError(
-                f"line {line_no}: bad score {score!r}", line) from exc
+            raise InputError(
+                f"line {line_no}: bad score {score!r}: {line!r}") from exc
         if not 0.0 <= score_f <= 1.0:
-            raise RuleLoadError(
-                f"line {line_no}: score outside [0, 1]", line)
+            raise InputError(f"line {line_no}: score outside [0, 1]: {line!r}")
         rules.append(FilterRule(scope, fqdn, key, score_f, model))
     return RuleIndex(rules)
 

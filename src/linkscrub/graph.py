@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 from . import urls
-from .errors import UrlParseError
+from .errors import InputError
 from .trace import Trace
 
 STORAGE = "storage"
@@ -229,7 +229,7 @@ def attach_decoration_nodes(g: PageGraph) -> PageGraph:
         url = req.attrs.get("url", "")
         try:
             d = urls.decompose(url)
-        except UrlParseError as exc:
+        except InputError as exc:
             g.warnings.append(f"unparseable request URL {url!r}: {exc}")
             continue
         for dec, raw in urls.name_decorations(d, g.site):
@@ -257,15 +257,6 @@ def encode_candidates(value: str) -> dict[str, str]:
         "sha1": hashlib.sha1(data).hexdigest(),
         "sha256": hashlib.sha256(data).hexdigest(),
     }
-
-
-class EncodedValues(dict):
-    """value -> ``encode_candidates(value)``, each distinct value encoded
-    once, on its first lookup."""
-
-    def __missing__(self, value: str) -> dict[str, str]:
-        forms = self[value] = encode_candidates(value)
-        return forms
 
 
 def _match(forms: dict[str, str], strings: list[str], inside: bool = False):
@@ -366,7 +357,7 @@ def detect_exfiltration(g: PageGraph,
                     held = first_seq.setdefault(value, {})
                     held[si] = min(ev_seq, held.get(si, ev_seq))
     values = sorted(first_seq) if decorations else []
-    encoded = EncodedValues()
+    forms = [encode_candidates(v) for v in values]
     haystacks = []
     for dec in decorations:
         hays = [dec.attrs["value"]]
@@ -374,7 +365,7 @@ def detect_exfiltration(g: PageGraph,
             hays.append(dec.attrs["raw_value"])
         haystacks.append(hays)
 
-    all_forms = [list(encoded[v].values()) for v in values]
+    all_forms = [list(f.values()) for f in forms]
     candidates = _prefix_pairs(
         all_forms, [[s for h in hays for s in (h, h.lower())]
                     for hays in haystacks])
@@ -386,15 +377,14 @@ def detect_exfiltration(g: PageGraph,
 
     hits = []
     for vi, di in candidates:
-        value, dec = values[vi], decorations[di]
-        forms = encoded[value]
-        hit = _match(forms, haystacks[di])
+        dec = decorations[di]
+        hit = _match(forms[vi], haystacks[di])
         if hit is None and len(dec.attrs["value"]) >= min_len:
-            hit = _match(forms, haystacks[di], inside=True)
+            hit = _match(forms[vi], haystacks[di], inside=True)
         if hit is None:
             continue
         ri, req_seq = requests[dec.attrs["request"]]
-        for si, seq in first_seq[value].items():
+        for si, seq in first_seq[values[vi]].items():
             if seq < req_seq:
                 hits.append(((ri, si, vi, di), storage_nodes[si].id, hit))
     hits.sort(key=lambda h: h[0])
@@ -434,12 +424,12 @@ def detect_infiltration(g: PageGraph) -> PageGraph:
         if value and seq > first:
             writes.setdefault(value, []).append(wi)
     values = list(writes)
-    encoded = EncodedValues()
-    candidates = _prefix_pairs([list(encoded[v].values()) for v in values],
+    forms = [encode_candidates(v) for v in values]
+    candidates = _prefix_pairs([list(f.values()) for f in forms],
                                [[p, p.lower()] for p in payloads])
     hits: dict[str, list] = {}  # response id -> [(write index, evidence)]
     for vi, ci in candidates:
-        hit = _match(encoded[values[vi]], [payloads[ci]])
+        hit = _match(forms[vi], [payloads[ci]])
         if hit is not None:
             resp_seq = carriers[ci].attrs.get("seq", 0)
             hits.setdefault(carriers[ci].id, []).extend(

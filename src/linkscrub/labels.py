@@ -12,7 +12,7 @@ import csv
 from dataclasses import dataclass
 from typing import IO, Iterable, Optional
 
-from .errors import InputError, RuleLoadError
+from .errors import InputError
 from .graph import EXFILTRATION, PageGraph
 from .urls import DecorationId, fqdn_pattern_matches, fqdn_patterns
 
@@ -64,13 +64,13 @@ def parse_request_rules(lines: Iterable[str]) -> list[RequestRule]:
             continue
         for unsupported in ("##", "#@#", "@@", "$"):
             if unsupported in line:
-                raise RuleLoadError(f"line {line_no}: unsupported filter "
-                                    f"syntax {unsupported!r}", line)
+                raise InputError(f"line {line_no}: unsupported filter "
+                                 f"syntax {unsupported!r}: {line!r}")
         if line.startswith("||"):
             body = line[2:]
             if not body.endswith("^") or not body[:-1]:
-                raise RuleLoadError(
-                    f"line {line_no}: malformed host anchor", line)
+                raise InputError(
+                    f"line {line_no}: malformed host anchor: {line!r}")
             rules.append(RequestRule(line, host_anchor=body[:-1].lower()))
         else:
             rules.append(RequestRule(line))
@@ -92,13 +92,12 @@ def parse_cookie_purpose_db(lines: Iterable[str]) -> list[CookiePurposeEntry]:
             continue
         parts = line.split(",")
         if len(parts) != 3:
-            raise RuleLoadError(
-                f"line {line_no}: cookie purpose needs domain,key,purpose",
-                line)
+            raise InputError(f"line {line_no}: cookie purpose needs "
+                             f"domain,key,purpose: {line!r}")
         domain, key, purpose = (p.strip() for p in parts)
         if purpose not in COOKIE_PURPOSES:
-            raise RuleLoadError(
-                f"line {line_no}: unknown cookie purpose {purpose!r}", line)
+            raise InputError(f"line {line_no}: unknown cookie purpose "
+                             f"{purpose!r}: {line!r}")
         entries.append(CookiePurposeEntry(domain, key, purpose))
     return entries
 
@@ -130,8 +129,8 @@ def parse_curated_list(lines: Iterable[str]) -> list[CuratedEntry]:
         if not line or line.startswith("#"):
             continue
         if "|" not in line:
-            raise RuleLoadError(
-                f"line {line_no}: curated entry must be fqdn|key", line)
+            raise InputError(
+                f"line {line_no}: curated entry must be fqdn|key: {line!r}")
         fqdn, key = line.split("|", 1)
         entries.append(CuratedEntry(fqdn, key))
     return entries
@@ -232,7 +231,8 @@ def read_labels(fh: IO[str]) -> list[LabeledDecoration]:
     try:
         header = next(reader, None)
         if header != _LABEL_COLUMNS:
-            raise RuleLoadError("line 1: bad label file header", str(header))
+            raise InputError(
+                f"line 1: bad label file header: {str(header)!r}")
         out = []
         for row in reader:
             if not row:

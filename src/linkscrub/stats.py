@@ -10,9 +10,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from .labels import ATS, NON_ATS, UNKNOWN
-from .urls import DecorationId
+from .urls import KINDS, DecorationId
 
-KINDS = ("path", "query", "fragment")
 LABELS = (ATS, NON_ATS, UNKNOWN)
 
 

@@ -16,6 +16,7 @@ import string
 from dataclasses import dataclass
 
 from .graph import ENCODINGS, encode_candidates
+from .labels import ATS, NON_ATS
 from .trace import Trace, TraceEvent, dump_trace
 from .urls import DecorationId, build_url
 
@@ -26,9 +27,6 @@ _ID_ALPHABET = string.ascii_letters + string.digits
 _WORDS = ("en", "de", "fr", "home", "news", "dark", "light", "grid",
           "list", "main", "top", "off", "on", "v1", "v2", "v3",
           "12", "24", "300", "250", "100", "s", "m", "l")
-
-ATS = "ATS"
-NON_ATS = "NonATS"
 
 REQUESTS_PER_TRACKER = 3
 FUNCTIONAL_REQUESTS = 6

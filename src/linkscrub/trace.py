@@ -4,7 +4,7 @@ The trace file is the public contract for adapters from real crawlers:
 UTF-8, one JSON object per line, a ``{"format": 1}`` header line first, then
 one event object per line. One trace covers one page load. ``ENVELOPE`` and
 ``PAYLOAD_FIELDS`` below are the one statement of every event's fields, their
-JSON types and which are required; :func:`check_events` enforces them along
+JSON types and which are required; :func:`parse_trace` enforces them along
 with the rules that span fields and events.
 """
 
@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import (IO, Callable, Iterable, Iterator, Mapping, NamedTuple,
-                    Union)
+from typing import IO, Callable, Iterable, Mapping, NamedTuple, Union
 
-from .errors import TraceParseError
+from .errors import InputError
 
 FORMAT_VERSION = 1
 
@@ -30,8 +29,8 @@ JSON_TYPES: dict[str, Callable[[object], bool]] = {
     "string": lambda v: type(v) is str and (
         v.isascii() or not any("\ud800" <= c <= "\udfff" for c in v)),
     "integer": lambda v: type(v) is int and abs(v) < 2 ** 53,
-    "object": lambda v: type(v) is dict or isinstance(v, Mapping),
-    "array": lambda v: isinstance(v, (list, tuple)),
+    "object": lambda v: type(v) is dict,
+    "array": lambda v: type(v) is list,
 }
 
 # field -> (JSON type, required); fields not listed are allowed and ignored.
@@ -120,88 +119,62 @@ def _problems(value, jtype, path: str) -> list[str]:
     return problems
 
 
-def check_events(events: Iterable[Mapping]) -> Iterator[tuple[int, str]]:
-    """Yield ``(event index, message)`` for every broken invariant of
-    ``events``, records as decoded from JSON, read one at a time. An event
-    whose fields break the table gets no further checks. The trace's site is
-    the first event's."""
+def parse_trace(stream: Union[IO[str], Iterable[str]]) -> Trace:
+    """Parse and check one line-delimited trace, one line at a time.
+
+    An empty stream yields an empty Trace. The first line that is not JSON or
+    nests deeper than the JSON reader can follow, is not the header, breaks
+    ``ENVELOPE`` or ``PAYLOAD_FIELDS``, or breaks a rule across events (rising
+    ``seq``, the first event's site, a response or redirect naming an earlier
+    request) raises :class:`~linkscrub.errors.InputError` naming that line.
+    """
+    events: list[TraceEvent] = []
     known_requests: set = set()
-    last_seq = site = None
-    for i, ev in enumerate(events):
+    header_seen = False
+    for line_no, line in enumerate(stream, start=1):
+        if not line.strip():
+            continue
+        try:
+            ev = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise InputError(
+                f"line {line_no}: invalid JSON ({exc.msg})") from exc
+        except RecursionError as exc:
+            raise InputError(f"line {line_no}: JSON nests too deeply") from exc
+        if not header_seen:
+            if not (isinstance(ev, dict) and type(ev.get("format")) is int
+                    and ev["format"] == FORMAT_VERSION):
+                raise InputError(f"line {line_no}: expected header "
+                                 f"{{\"format\": {FORMAT_VERSION}}}")
+            header_seen = True
+            continue
         problems = _problems(ev, ENVELOPE, "")
         if not problems:
-            kind = ev["kind"]
+            kind, p = ev["kind"], ev["payload"]
             if kind not in PAYLOAD_FIELDS:
                 problems.append(f"unknown event kind {kind!r}")
             else:
-                problems = _problems(ev["payload"], PAYLOAD_FIELDS[kind],
-                                     "payload")
-        if problems:
-            yield from ((i, message) for message in problems)
-            continue
-        seq, p = ev["seq"], ev["payload"]
-        if last_seq is not None and seq <= last_seq:
-            yield i, f"seq {seq} after {last_seq}"
-        last_seq = seq
-        if site is None:
-            site = ev["site"]
-        elif ev["site"] != site:
-            yield i, (f"event site {ev['site']!r} differs "
-                      f"from trace site {site!r}")
-        if kind in ("response", "redirect"):
+                problems = _problems(p, PAYLOAD_FIELDS[kind], "payload")
+        if not problems and events:
+            if ev["seq"] <= events[-1].seq:
+                problems.append(f"seq {ev['seq']} after {events[-1].seq}")
+            elif ev["site"] != events[0].site:
+                problems.append(f"event site {ev['site']!r} differs "
+                                f"from trace site {events[0].site!r}")
+        if not problems and kind in ("response", "redirect"):
             ref = p["request_id" if kind == "response" else "from_request_id"]
             if ref not in known_requests:
-                yield i, f"{kind} references unknown request id {ref!r}"
+                problems.append(
+                    f"{kind} references unknown request id {ref!r}")
+        if problems:
+            raise InputError(f"line {line_no}: {problems[0]}")
         if kind in ("request", "element_request", "redirect"):
             known_requests.add(p["request_id"])
-
-
-def parse_trace(stream: Union[IO[str], Iterable[str]]) -> Trace:
-    """Parse one line-delimited trace.
-
-    An empty stream yields an empty Trace. A line that is not JSON or nests
-    deeper than the JSON reader can follow, a missing or wrong header, and
-    the first event that breaks a rule of
-    :func:`check_events` raise :class:`TraceParseError` with the offending
-    line number.
-    """
-    records: list[dict] = []
-    line_nos: list[int] = []
-
-    def decoded() -> Iterator[dict]:
-        header_seen = False
-        for line_no, line in enumerate(stream, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise TraceParseError(
-                    f"invalid JSON ({exc.msg})", line_no) from exc
-            except RecursionError as exc:
-                raise TraceParseError(
-                    "JSON nests too deeply", line_no) from exc
-            if not header_seen:
-                if not (isinstance(record, dict)
-                        and type(record.get("format")) is int
-                        and record["format"] == FORMAT_VERSION):
-                    raise TraceParseError(
-                        f"expected header {{\"format\": {FORMAT_VERSION}}}",
-                        line_no)
-                header_seen = True
-                continue
-            records.append(record)
-            line_nos.append(line_no)
-            yield record
-
-    for index, message in check_events(decoded()):
-        raise TraceParseError(message, line_nos[index])
-    events = tuple(
-        TraceEvent(r["seq"], r["kind"], r["page_url"], r["site"], r["actor"],
-                   r["payload"]) for r in records)
+        events.append(TraceEvent(ev["seq"], kind, ev["page_url"], ev["site"],
+                                 ev["actor"], p))
     if not events:
         return Trace(site="", page_url="")
-    return Trace(events[0].site, events[0].page_url, events)
+    return Trace(events[0].site, events[0].page_url, tuple(events))
 
 
 def dump_trace(t: Trace) -> str:

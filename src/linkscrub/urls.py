@@ -19,11 +19,12 @@ from operator import itemgetter
 from typing import NamedTuple, Optional
 from urllib.parse import quote, unquote
 
-from .errors import UrlParseError
+from .errors import InputError
 
 PATH_KIND = "path"
 QUERY_KIND = "query"
 FRAGMENT_KIND = "fragment"
+KINDS = (PATH_KIND, QUERY_KIND, FRAGMENT_KIND)  # in URL order
 
 _SCHEME_RE = re.compile(r"^([A-Za-z][A-Za-z0-9+.\-]*)://")
 _REPLACEMENT_ALPHABET = string.ascii_letters + string.digits
@@ -117,13 +118,12 @@ def _encode_token(value: str) -> str:
 def decompose(url: str) -> DecoratedUrl:
     """Decompose ``url`` into a :class:`DecoratedUrl`.
 
-    Raises :class:`UrlParseError` for URLs without a scheme or host, naming
-    the offending span.
+    Raises :class:`~linkscrub.errors.InputError` for URLs without a scheme or
+    host, quoting the URL's start.
     """
     m = _SCHEME_RE.match(url)
     if not m:
-        raise UrlParseError(
-            f"no scheme://: {url[:40]!r}", span=(0, min(len(url), 40)))
+        raise InputError(f"no scheme://: {url[:40]!r}")
     scheme = m.group(1)
     rest = url[m.end():]
 
@@ -133,9 +133,6 @@ def decompose(url: str) -> DecoratedUrl:
         if pos != -1:
             cut = min(cut, pos)
     raw_authority, rest = rest[:cut], rest[cut:]
-    if not raw_authority:
-        raise UrlParseError(
-            f"missing host in {url[:60]!r}", span=(m.end(), m.end()))
 
     host = raw_authority
     if "@" in host:
@@ -145,8 +142,7 @@ def decompose(url: str) -> DecoratedUrl:
         if maybe_port.isdigit() or maybe_port == "":
             host = maybe_host
     if not host:
-        raise UrlParseError(
-            f"missing host in {url[:60]!r}", span=(m.end(), m.end() + cut))
+        raise InputError(f"missing host in {url[:60]!r}")
     fqdn = host.lower()
 
     raw_fragment: Optional[str] = None

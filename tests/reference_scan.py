@@ -21,7 +21,7 @@ from urllib.parse import unquote
 
 import numpy as np
 
-from linkscrub.errors import UrlParseError
+from linkscrub.errors import InputError
 from linkscrub.features import (AD_KEYWORDS, FEATURE_NAMES, FP_KEYWORDS,
                                 shannon_entropy)
 from linkscrub.forest import ForestConfig
@@ -443,7 +443,7 @@ def reference_match_request_filter(url, rules):
     where ``labels.RequestRuleIndex.matches`` looks the rules up."""
     try:
         fqdn = decompose(url).fqdn
-    except UrlParseError:
+    except InputError:
         fqdn = ""
     for rule in rules:
         if rule.host_anchor is not None:

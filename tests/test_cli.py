@@ -140,6 +140,22 @@ def test_predict_rows_have_the_header_field_count(explain, tb, tmp_path):
     assert "a,b" in {row[2] for row in rows}
 
 
+@pytest.mark.parametrize("command,expected", [
+    ("predict", "site,fqdn,key,kind,score,label\n"),
+    ("emit-list", "# decoration-filter-list v1\n"
+                  "# scope\tfqdn\tkey\taction\tscore\tmodel\n"),
+])
+def test_model_commands_on_a_header_only_matrix(command, expected, tmp_path,
+                                                monkeypatch):
+    (tmp_path / "m.csv").write_text(_matrix())
+    (tmp_path / "model.json").write_text(_model([_split(0)]))
+    monkeypatch.chdir(tmp_path)
+    result = CliRunner().invoke(main, [
+        command, "--model", "model.json", "--matrix", "m.csv"])
+    assert result.exit_code == 0, result.output
+    assert result.stdout == expected
+
+
 def test_cv_command(runner, corpus, tmp_path):
     root, traces = corpus
     matrix = tmp_path / "matrix.csv"

@@ -3,7 +3,7 @@ import io
 import pytest
 
 from linkscrub import filters
-from linkscrub.errors import RuleLoadError
+from linkscrub.errors import InputError
 from linkscrub.urls import DecorationId
 
 
@@ -72,15 +72,15 @@ def test_native_format_round_trip():
 
 
 def test_parse_native_rejects_bad_header_fields_action_score():
-    with pytest.raises(RuleLoadError):
+    with pytest.raises(InputError):
         filters.parse_native(io.StringIO("no header\n"))
     head = "# decoration-filter-list v1\n"
-    with pytest.raises(RuleLoadError):
+    with pytest.raises(InputError):
         filters.parse_native(io.StringIO(head + "a\tb\tc\n"))
-    with pytest.raises(RuleLoadError):
+    with pytest.raises(InputError):
         filters.parse_native(io.StringIO(
             head + "*\tf\tk\tdelete\t0.5\tm\n"))
-    with pytest.raises(RuleLoadError):
+    with pytest.raises(InputError):
         filters.parse_native(io.StringIO(
             head + "*\tf\tk\treplace\t1.5\tm\n"))
 

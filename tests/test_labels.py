@@ -3,7 +3,7 @@ import io
 import pytest
 
 from linkscrub import labels as L
-from linkscrub.errors import RuleLoadError
+from linkscrub.errors import InputError
 from linkscrub.graph import build_full_graph
 from linkscrub.urls import DecorationId
 
@@ -22,7 +22,7 @@ def test_parse_request_rules_host_anchor_and_substring():
     "example.com##.ad", "#@#foo", "@@||good.example^", "||x.example^$script",
     "||^", "||noanchor"])
 def test_parse_request_rules_rejects_unsupported(line):
-    with pytest.raises(RuleLoadError):
+    with pytest.raises(InputError):
         L.parse_request_rules([line])
 
 
@@ -48,7 +48,7 @@ def test_cookie_purpose_specific_beats_global():
 
 
 def test_cookie_purpose_db_rejects_unknown_purpose():
-    with pytest.raises(RuleLoadError):
+    with pytest.raises(InputError):
         L.parse_cookie_purpose_db(["*,uid,surveillance"])
 
 
@@ -56,7 +56,7 @@ def test_curated_list_parse():
     entries = L.parse_curated_list(["a.example|uid", "*|gclid", "# c"])
     assert entries[0].fqdn == "a.example"
     assert entries[1].fqdn == "*"
-    with pytest.raises(RuleLoadError):
+    with pytest.raises(InputError):
         L.parse_curated_list(["no-separator"])
 
 
@@ -121,5 +121,5 @@ def test_labels_csv_round_trip_with_comma_key():
 
 
 def test_read_labels_rejects_bad_header():
-    with pytest.raises(RuleLoadError):
+    with pytest.raises(InputError):
         L.read_labels(io.StringIO("wrong,header\n"))

@@ -1,5 +1,6 @@
-"""The feature matrix, native list and label readers either parse a text or
-raise ``InputError`` whose message starts with the line it stopped at."""
+"""The feature matrix, native list, label and label-source readers either
+parse a text or raise ``InputError`` whose message starts with the line it
+stopped at."""
 
 import io
 import re
@@ -28,6 +29,14 @@ READERS = {
                     ["*", "t.example", "uid", "replace", "0.5", "v1"], "\t"),
     "labels": (labels.read_labels, ",".join(labels._LABEL_COLUMNS),
                ["s.example", "t.example", "uid", "ATS", "a;b"], ","),
+    # the label sources have no header; a comment line stands in for one
+    "request rules": (labels.parse_request_rules, "! request rules",
+                      ["||t.example^"], ""),
+    "cookie purposes": (labels.parse_cookie_purpose_db,
+                        "# domain,key,purpose",
+                        ["s.example", "uid", "advertising"], ","),
+    "curated list": (labels.parse_curated_list, "# fqdn|key",
+                     ["t.example", "uid"], "|"),
 }
 
 

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import Phase, find, given, settings, strategies as st
 
 from linkscrub import forest, labels
-from linkscrub.errors import UrlParseError
+from linkscrub.errors import InputError
 from linkscrub.filters import FilterRule
 from linkscrub.features import (_BFS_BLOCK, REQUEST_LEVEL_FEATURES,
                                 ViewMetrics, _ancestors, _GraphIndex,
@@ -493,7 +493,7 @@ _request_rule_lists = st.lists(
 def test_request_filter_equals_reference_scan(url, rules):
     try:
         fqdn = decompose(url).fqdn
-    except UrlParseError:
+    except InputError:
         fqdn = ""
     assert (labels.RequestRuleIndex(rules).matches(url, fqdn)
             == (reference_match_request_filter(url, rules) == labels.ATS))
@@ -502,7 +502,7 @@ def test_request_filter_equals_reference_scan(url, rules):
 def _request_filter_cases(url, rules):
     try:
         fqdn = decompose(url).fqdn
-    except UrlParseError:
+    except InputError:
         fqdn = ""
     cases = {"empty fqdn"} if not fqdn else set()
     if fqdn.count(".") >= 2:

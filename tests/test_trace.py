@@ -1,11 +1,12 @@
 import io
 import json
+import re
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from linkscrub.errors import TraceParseError
+from linkscrub.errors import InputError
 from linkscrub.features import features_for_graph
 from linkscrub.graph import build_full_graph
 from linkscrub.trace import FORMAT_VERSION, dump_trace, parse_trace
@@ -31,9 +32,9 @@ def test_empty_stream_yields_empty_trace():
 
 
 def test_header_required():
-    with pytest.raises(TraceParseError) as exc:
+    with pytest.raises(InputError) as exc:
         parse_trace([json.dumps(_event(1, "script_load", script_id="a"))])
-    assert exc.value.line_no == 1
+    assert str(exc.value).startswith("line 1: ")
 
 
 def test_parse_minimal_trace():
@@ -48,49 +49,49 @@ def test_parse_minimal_trace():
 
 
 def test_non_monotone_seq_rejected():
-    with pytest.raises(TraceParseError) as exc:
+    with pytest.raises(InputError) as exc:
         parse_trace(_lines(
             _event(2, "script_load", script_id="a"),
             _event(2, "script_load", script_id="b"),
         ))
-    assert exc.value.line_no == 3
+    assert str(exc.value).startswith("line 3: ")
 
 
 def test_unknown_kind_rejected():
-    with pytest.raises(TraceParseError):
+    with pytest.raises(InputError):
         parse_trace(_lines(_event(1, "teleport")))
 
 
 def test_dangling_response_rejected():
-    with pytest.raises(TraceParseError) as exc:
+    with pytest.raises(InputError) as exc:
         parse_trace(_lines(_event(1, "response", request_id="nope")))
-    assert exc.value.line_no == 2
+    assert str(exc.value).startswith("line 2: ")
 
 
 def test_dangling_redirect_rejected():
-    with pytest.raises(TraceParseError):
+    with pytest.raises(InputError):
         parse_trace(_lines(
             _event(1, "redirect", from_request_id="nope",
                    request_id="r2", to_url="https://t.example/")))
 
 
 def test_bad_store_rejected():
-    with pytest.raises(TraceParseError):
+    with pytest.raises(InputError):
         parse_trace(_lines(
             _event(1, "storage_set", store="sessionStorage", key="k",
                    value="v")))
 
 
 def test_invalid_json_names_line():
-    with pytest.raises(TraceParseError) as exc:
+    with pytest.raises(InputError) as exc:
         parse_trace([HEADER, "{nope"])
-    assert exc.value.line_no == 2
+    assert str(exc.value).startswith("line 2: ")
 
 
 def test_site_mismatch_rejected():
     bad = _event(2, "script_load", script_id="b")
     bad["site"] = "other.example"
-    with pytest.raises(TraceParseError):
+    with pytest.raises(InputError):
         parse_trace(_lines(_event(1, "script_load", script_id="a"), bad))
 
 
@@ -115,19 +116,19 @@ def test_validate_reports_duplicate_seq():
     t = parse_trace(_lines(_event(1, "script_load", script_id="a")))
     twin = t.events[0]
     t = replace(t, events=(twin, twin._replace(kind="eval_script")))
-    with pytest.raises(TraceParseError, match=r"^line 3: seq 1 after 1$"):
+    with pytest.raises(InputError, match=r"^line 3: seq 1 after 1$"):
         _reparse(t)
 
 
 def test_validate_reports_empty_storage_key(tb):
     t = tb.set("s1", "cookie", "", "v").build()
-    with pytest.raises(TraceParseError, match=r": payload\.key is empty$"):
+    with pytest.raises(InputError, match=r": payload\.key is empty$"):
         _reparse(t)
 
 
 def test_validate_reports_missing_required_field(tb):
     t = tb.add("request", url="https://t.example/").build()
-    with pytest.raises(TraceParseError,
+    with pytest.raises(InputError,
                        match=r": payload\.request_id is missing$"):
         _reparse(t)
 
@@ -177,7 +178,7 @@ MALFORMED = {
 
 @pytest.mark.parametrize("events,message", MALFORMED.values(), ids=MALFORMED)
 def test_malformed_event_refused_by_parse_and_validate(events, message):
-    with pytest.raises(TraceParseError) as exc:
+    with pytest.raises(InputError) as exc:
         parse_trace(_lines(*events))
     assert str(exc.value) == f"line {len(events) + 1}: {message}"
 
@@ -187,9 +188,9 @@ def test_malformed_event_refused_by_parse_and_validate(events, message):
     ([HEADER, "7"], 2),
 ], ids=["list header", "number event"])
 def test_line_that_is_not_an_object_rejected(lines, line_no):
-    with pytest.raises(TraceParseError) as exc:
+    with pytest.raises(InputError) as exc:
         parse_trace(lines)
-    assert exc.value.line_no == line_no
+    assert str(exc.value).startswith(f"line {line_no}: ")
 
 
 # -- properties: every JSON-lines input parses or is refused, and what parses
@@ -269,8 +270,9 @@ def _near_valid_lines(draw):
 def test_any_json_lines_parse_or_raise_trace_parse_error(lines):
     try:
         parse_trace(lines)
-    except TraceParseError:
-        pass
+    except InputError as exc:
+        named = re.match(r"line (\d+): ", str(exc))
+        assert named and 1 <= int(named.group(1)) <= len(lines), str(exc)
 
 
 @settings(max_examples=300, deadline=None)
@@ -278,7 +280,7 @@ def test_any_json_lines_parse_or_raise_trace_parse_error(lines):
 def test_traces_that_parse_are_valid_and_safe_downstream(lines):
     try:
         t = parse_trace(lines)
-    except TraceParseError:
+    except InputError:
         return
     # text, not objects: a NaN drawn into an ignored field is not equal to
     # itself

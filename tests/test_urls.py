@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from linkscrub import filters, urls
-from linkscrub.errors import UrlParseError
+from linkscrub.errors import InputError
 from linkscrub.filters import FilterRule
 
 from conftest import decoded
@@ -80,7 +80,7 @@ def test_round_trip_samples(url):
 @pytest.mark.parametrize("bad", ["", "not a url", "//h.example/x",
                                  "https://", "https:///p"])
 def test_parse_errors(bad):
-    with pytest.raises(UrlParseError):
+    with pytest.raises(InputError):
         urls.decompose(bad)
 
 
